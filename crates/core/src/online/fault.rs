@@ -163,10 +163,20 @@ pub struct RetryDraw {
 /// request queue instead of relying on a surviving server (see the module
 /// docs). Unwrapped policies run against such plans produce schedules the
 /// auditors flag rather than panics.
+///
+/// Besides the crash list (sorted by crash instant, for event streams and
+/// the auditors), a plan keeps a per-server index of the same windows, so
+/// the per-request lookups [`FaultPlan::is_down`] and
+/// [`FaultPlan::next_crash_after`] cost `O(log k + log w)` — `k` servers
+/// with windows, `w` windows on the queried server — instead of a scan of
+/// every crash. Partition and brownout lookups still scan their (short)
+/// window lists.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Outages, sorted by crash instant.
     crashes: Vec<CrashWindow>,
+    /// The same outages grouped by server (see [`CrashIndex`]).
+    index: CrashIndex,
     /// Partitions, sorted by start instant.
     partitions: Vec<PartitionWindow>,
     /// Brownouts, sorted by start instant.
@@ -208,13 +218,91 @@ fn clamp_nonneg(x: f64) -> f64 {
     }
 }
 
+/// Per-server CSR index over a plan's coalesced crash windows: one flat
+/// array of positions into the crash list, grouped by server and
+/// ascending within each group (so each group is in crash-instant order),
+/// plus the servers that own a group and each group's start offset.
+/// Offsets are keyed by the servers that have windows rather than by
+/// every server index, so memory stays linear in the window count — four
+/// bytes per window plus a few per crashed server — even for a window on
+/// server `u32::MAX` (as `mcc serve --crash` accepts).
+///
+/// Coalesced windows on one server are disjoint and non-touching, so the
+/// last window starting at or before `t` is the only one that can cover
+/// `t`, and the first window starting after `t` is the next crash: each
+/// query is one binary search over the owners and one over the group.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct CrashIndex {
+    /// Servers that own at least one window, ascending.
+    owners: Vec<ServerId>,
+    /// `starts[i]..starts[i + 1]` is `owners[i]`'s range of `positions`.
+    starts: Vec<usize>,
+    /// Indices into the crash-instant-sorted crash list, grouped by
+    /// server, ascending within a group.
+    positions: Vec<u32>,
+}
+
+impl CrashIndex {
+    /// Counts each server's windows from the list sorted by
+    /// `(server, from)`: fills `owners` and `starts`.
+    fn count(&mut self, by_server: &[CrashWindow]) {
+        self.owners.clear();
+        self.starts.clear();
+        for (i, w) in by_server.iter().enumerate() {
+            if self.owners.last() != Some(&w.server) {
+                self.owners.push(w.server);
+                self.starts.push(i);
+            }
+        }
+        self.starts.push(by_server.len());
+    }
+
+    /// Fills `positions` from the same windows re-sorted by crash
+    /// instant, after [`CrashIndex::count`]. Each group's start offset
+    /// serves as its write cursor and ends on the next group's start, so
+    /// the offsets shift back by one slot afterwards. Reuses the buffers.
+    fn place(&mut self, by_time: &[CrashWindow]) {
+        self.positions.clear();
+        self.positions.resize(by_time.len(), 0);
+        for (p, w) in by_time.iter().enumerate() {
+            if let Ok(g) = self.owners.binary_search(&w.server) {
+                // A plan holds far fewer than 2^32 windows.
+                self.positions[self.starts[g]] = p as u32;
+                self.starts[g] += 1;
+            }
+        }
+        self.starts.pop();
+        self.starts.insert(0, 0);
+    }
+
+    /// Deep-copies `other`, reusing the buffers.
+    fn copy_from(&mut self, other: &CrashIndex) {
+        self.owners.clone_from(&other.owners);
+        self.starts.clone_from(&other.starts);
+        self.positions.clone_from(&other.positions);
+    }
+
+    /// Positions of `server`'s windows in crash-instant order (empty if
+    /// it never crashes).
+    fn windows(&self, server: ServerId) -> &[u32] {
+        match self.owners.binary_search(&server) {
+            Ok(g) => &self.positions[self.starts[g]..self.starts[g + 1]],
+            Err(_) => &[],
+        }
+    }
+}
+
 /// Coalesces overlapping or touching windows on the same server, leaving
-/// the list sorted by (from, server, to). Correlated bursts can land on
+/// the list sorted by (from, server, to), and rebuilds `index`: it counts
+/// each server's windows in the intermediate per-server order and places
+/// their positions after the final re-sort. Correlated bursts can land on
 /// top of base crash windows, but every consumer of the plan — the
-/// wrapper's event stream, both auditors' crash geometry — assumes each
-/// server's downtime windows are disjoint, so the constructors normalize
-/// here. Allocation-free: two in-place unstable sorts and a compaction.
-fn coalesce_crashes(crashes: &mut Vec<CrashWindow>) {
+/// wrapper's event stream, both auditors' crash geometry, the index's
+/// binary searches — assumes each server's downtime windows are disjoint,
+/// so the constructors normalize here. Allocation-free once warm: two
+/// in-place unstable sorts, a compaction and an index refill into reused
+/// buffers.
+fn coalesce_crashes(crashes: &mut Vec<CrashWindow>, index: &mut CrashIndex) {
     crashes.sort_unstable_by(|a, b| {
         a.server
             .cmp(&b.server)
@@ -235,12 +323,14 @@ fn coalesce_crashes(crashes: &mut Vec<CrashWindow>) {
         }
         crashes.truncate(w + 1);
     }
+    index.count(crashes);
     crashes.sort_unstable_by(|a, b| {
         a.from
             .total_cmp(&b.from)
             .then(a.server.cmp(&b.server))
             .then(a.to.total_cmp(&b.to))
     });
+    index.place(crashes);
 }
 
 impl FaultPlan {
@@ -248,6 +338,7 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan {
             crashes: Vec::new(),
+            index: CrashIndex::default(),
             partitions: Vec::new(),
             brownouts: Vec::new(),
             fail_seed: 0,
@@ -274,9 +365,11 @@ impl FaultPlan {
         mean_delay: f64,
     ) -> Self {
         crashes.retain(|w| valid_window(w.from, w.to));
-        coalesce_crashes(&mut crashes);
+        let mut index = CrashIndex::default();
+        coalesce_crashes(&mut crashes, &mut index);
         FaultPlan {
             crashes,
+            index,
             partitions: Vec::new(),
             brownouts: Vec::new(),
             fail_seed,
@@ -349,7 +442,7 @@ impl FaultPlan {
         self.crashes.clear();
         self.crashes.extend_from_slice(crashes);
         self.crashes.retain(|w| valid_window(w.from, w.to));
-        coalesce_crashes(&mut self.crashes);
+        coalesce_crashes(&mut self.crashes, &mut self.index);
         self.partitions.clear();
         self.partitions.extend_from_slice(partitions);
         self.partitions.retain(|w| valid_window(w.from, w.to));
@@ -381,6 +474,7 @@ impl FaultPlan {
     /// Deep-copies `other` into this plan, reusing the window buffers.
     pub fn copy_from(&mut self, other: &FaultPlan) {
         self.crashes.clone_from(&other.crashes);
+        self.index.copy_from(&other.index);
         self.partitions.clone_from(&other.partitions);
         self.brownouts.clone_from(&other.brownouts);
         self.fail_seed = other.fail_seed;
@@ -456,12 +550,14 @@ impl FaultPlan {
         self.mean_delay
     }
 
-    /// Whether `server` is down at instant `t`.
+    /// Whether `server` is down at instant `t`. `O(log k + log w)` via the
+    /// per-server index; a NaN `t` is never down.
     pub fn is_down(&self, server: ServerId, t: f64) -> bool {
-        self.crashes
-            .iter()
-            .take_while(|w| w.from <= t)
-            .any(|w| w.server == server && t < w.to)
+        let own = self.index.windows(server);
+        match own.partition_point(|&p| self.crashes[p as usize].from <= t) {
+            0 => false,
+            i => t < self.crashes[own[i - 1] as usize].to,
+        }
     }
 
     /// Whether a transfer `a → b` is illegal at `t` because an active
@@ -494,11 +590,14 @@ impl FaultPlan {
     }
 
     /// The first crash of `server` strictly after `t`, if any.
+    /// `O(log k + log w)` via the per-server index; `None` for a NaN `t`.
     pub fn next_crash_after(&self, server: ServerId, t: f64) -> Option<f64> {
-        self.crashes
-            .iter()
-            .find(|w| w.server == server && w.from > t)
-            .map(|w| w.from)
+        if t.is_nan() {
+            return None;
+        }
+        let own = self.index.windows(server);
+        let i = own.partition_point(|&p| self.crashes[p as usize].from <= t);
+        own.get(i).map(|&p| self.crashes[p as usize].from)
     }
 
     /// The crash instant of the latest-starting window (`-inf` if none):

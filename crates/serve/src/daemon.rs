@@ -10,13 +10,16 @@
 //! explicit `shutdown` op (answered with `bye`).
 //!
 //! Time stamping: a `req` line carrying `t` uses it verbatim (simulated
-//! event time). A `req` without `t` is stamped with
-//! `max(clock.now(), high-water)` — the [`TimeSource`] supplies "now"
-//! (wall seconds since start, or a test-controlled [`SimClock`]), and
-//! the high-water clamp keeps wall-stamped events from regressing
-//! behind explicit event times, which the engine would shed.
+//! event time) — an explicit `t` that runs backwards for its item is
+//! shed by the engine as `time-regression`. A `req` without `t` is
+//! stamped with `max(clock.now(), high-water)`, where the high-water
+//! mark is the latest `t` seen so far — the [`TimeSource`] supplies
+//! "now" (wall seconds since start, or a test-controlled [`SimClock`]),
+//! and the clamp keeps wall-stamped events from regressing behind
+//! explicit event times, which the engine would shed.
 //!
 //! [`SimClock`]: mcc_simnet::SimClock
+//! [`ReplayNote`]: crate::engine::ReplayNote
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -102,8 +105,11 @@ pub fn serve_lines<R: BufRead, W: Write>(
                 emit(out, &error_response(&detail))?;
             }
             Ok(WireRequest::Req { item, server, t }) => {
-                let t = t.unwrap_or_else(|| clock.now()).max(high_water);
-                high_water = t;
+                // Only unstamped requests are clamped: an explicit `t`
+                // reaches the engine as sent, so a backwards one gets the
+                // engine's typed `time-regression` shed.
+                let t = t.unwrap_or_else(|| clock.now().max(high_water));
+                high_water = high_water.max(t);
                 match engine.observe(item, server, t) {
                     ServeReply::Decision(d) => {
                         summary.decisions += 1;
@@ -252,6 +258,31 @@ mod tests {
         assert_eq!(summary.decisions, 2);
         assert_eq!(summary.sheds, 0);
         assert_eq!(docs[1].get("t").and_then(Json::as_f64), Some(5.0));
+    }
+
+    #[test]
+    fn explicit_backwards_timestamps_are_shed_not_clamped() {
+        // Explicit t=5 then explicit t=2 for the same item: the second
+        // reaches the engine as sent and is shed as a time regression.
+        // The high-water mark stays at 5 for a following unstamped line.
+        let input = concat!(
+            "{\"op\":\"req\",\"item\":1,\"server\":1,\"t\":5.0}\n",
+            "{\"op\":\"req\",\"item\":1,\"server\":1,\"t\":2.0}\n",
+            "{\"op\":\"req\",\"item\":1,\"server\":1}\n",
+        );
+        let (summary, docs) = run(input, &DaemonOptions::default());
+        assert_eq!(summary.decisions, 2);
+        assert_eq!(summary.sheds, 1);
+        for doc in &docs {
+            validate_response(doc).expect("valid serve/1 line");
+        }
+        assert_eq!(docs[1].get("kind").and_then(Json::as_str), Some("shed"));
+        assert_eq!(
+            docs[1].get("reason").and_then(Json::as_str),
+            Some("time-regression")
+        );
+        assert_eq!(docs[2].get("kind").and_then(Json::as_str), Some("decision"));
+        assert_eq!(docs[2].get("t").and_then(Json::as_f64), Some(5.0));
     }
 
     #[test]

@@ -60,17 +60,35 @@ pub(crate) fn eq_tol(tol: f64, a: f64, b: f64) -> bool {
 /// active partition (the wrapper's stranded-evacuation reseed). Grounded
 /// intervals may also source transfers at their own start instant, like
 /// the origin's initial copy at `t = 0`.
+///
+/// The crash list is sorted by crash instant, so only the crashes inside
+/// `[from − slack, from + slack]`, `slack = 2·tol·max(|from|, 1)`, are
+/// tested: `O(log c)` per call instead of a scan of all `c` crashes. For
+/// `0 ≤ tol ≤ ½`, every instant `eq_tol` matches to `from` lies in that
+/// range in exact arithmetic; the window is used for `tol ≤ ¼`, which
+/// leaves ample room for rounding. Larger, negative or NaN tolerances and
+/// a non-finite `from` search the whole list. Inside the range the exact
+/// `eq_tol` decides, so the verdict matches a scan of every crash.
 pub(crate) fn grounded_start(
     tol: f64,
     plan: &FaultPlan,
     outages: &[(f64, f64)],
     from: f64,
 ) -> bool {
-    outages.iter().any(|w| eq_tol(tol, from, w.1))
-        || plan
-            .crashes()
-            .iter()
-            .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
+    if outages.iter().any(|w| eq_tol(tol, from, w.1)) {
+        return true;
+    }
+    let (lo, hi) = if (0.0..=0.25).contains(&tol) && from.is_finite() {
+        let slack = 2.0 * tol * from.abs().max(1.0);
+        (from - slack, from + slack)
+    } else {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    };
+    let crashes = plan.crashes();
+    crashes[crashes.partition_point(|c| c.from < lo)..]
+        .iter()
+        .take_while(|c| c.from <= hi)
+        .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
 }
 
 /// Whether instant `t` falls inside a total outage `[from, to)` — requests
@@ -652,7 +670,7 @@ impl ScheduleAuditor {
 mod tests {
     use super::*;
     use mcc_core::online::{run_policy, SpeculativeCaching};
-    use mcc_core::online::{CrashWindow, FaultTolerant};
+    use mcc_core::online::{CrashWindow, FaultTolerant, PartitionWindow};
     use mcc_model::CostModel;
 
     fn inst() -> Instance<f64> {
@@ -771,6 +789,157 @@ mod tests {
         sched.normalize();
         let report = ScheduleAuditor::default().audit(&inst, &sched, None, None, None);
         assert!(report.violations() >= 2, "{:?}", report.findings); // unserved + gap
+    }
+
+    /// Reference for `grounded_start`: tests every crash.
+    fn grounded_start_linear(
+        tol: f64,
+        plan: &FaultPlan,
+        outages: &[(f64, f64)],
+        from: f64,
+    ) -> bool {
+        outages.iter().any(|w| eq_tol(tol, from, w.1))
+            || plan
+                .crashes()
+                .iter()
+                .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
+    }
+
+    /// Tolerances on both sides of the windowed range (`0 ≤ tol ≤ ¼`),
+    /// plus the degenerate ones that fall back to the whole list.
+    const TOLS: [f64; 13] = [
+        0.0,
+        1e-15,
+        1e-12,
+        1e-9,
+        1e-6,
+        1e-3,
+        0.1,
+        0.25,
+        0.3,
+        0.5,
+        2.0,
+        -1e-9,
+        f64::NAN,
+    ];
+
+    /// Crash instants on three servers at magnitude `scale` (up to 1e6),
+    /// with or without partitions covering part of the crash span.
+    fn grounded_case() -> impl proptest::Strategy<Value = (FaultPlan, Vec<(f64, f64)>)> {
+        use proptest::Strategy;
+        (1usize..=24, 0u32..=7, 0u8..2, 0u64..1_000).prop_flat_map(|(n, exp, partitioned, seed)| {
+            let scale = if exp == 0 {
+                1e-3
+            } else {
+                10f64.powi(exp as i32 - 1)
+            };
+            let froms = proptest::collection::vec(0.0f64..1.0, n);
+            let lens = proptest::collection::vec(0.001f64..0.2, n);
+            let servers = proptest::collection::vec(0u32..3, n);
+            (froms, lens, servers).prop_map(move |(froms, lens, servers)| {
+                let crashes: Vec<CrashWindow> = froms
+                    .iter()
+                    .zip(&lens)
+                    .zip(&servers)
+                    .map(|((&f, &l), &s)| CrashWindow {
+                        server: ServerId(s),
+                        from: f * scale,
+                        to: (f + l) * scale,
+                    })
+                    .collect();
+                let mut plan = FaultPlan::new(crashes, seed, 0.0, 0, 0.0);
+                if partitioned == 1 {
+                    plan = plan.with_partitions(vec![
+                        PartitionWindow {
+                            from: 0.1 * scale,
+                            to: 0.4 * scale,
+                            mask: 0b001,
+                        },
+                        PartitionWindow {
+                            from: 0.6 * scale,
+                            to: 0.7 * scale,
+                            mask: 0b010,
+                        },
+                    ]);
+                }
+                let (mut ev, mut depth, mut outages) = (Vec::new(), Vec::new(), Vec::new());
+                plan.total_outages_into(3, &mut ev, &mut depth, &mut outages);
+                (plan, outages)
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The windowed `grounded_start` equals the linear scan for start
+        /// instants offset from each crash by multiples of the tolerance
+        /// scale, by a few ulps, and for the non-finite corners.
+        #[test]
+        fn windowed_grounded_start_matches_linear_scan(case in grounded_case()) {
+            let (plan, outages) = case;
+            let mut probes = vec![
+                0.0,
+                -0.0,
+                -1.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+            ];
+            for c in plan.crashes() {
+                probes.push(c.from);
+                for k in 1..=3u64 {
+                    probes.push(f64::from_bits(c.from.to_bits() + k));
+                    probes.push(f64::from_bits(c.from.to_bits().saturating_sub(k)));
+                }
+            }
+            for tol in TOLS {
+                let mut ps = probes.clone();
+                for c in plan.crashes() {
+                    let scale = tol.abs() * c.from.abs().max(1.0);
+                    for k in [-3.0, -2.0, -1.001, -1.0, -0.999, -0.5, 0.5, 0.999, 1.0, 1.001, 2.0, 3.0] {
+                        ps.push(c.from + k * scale);
+                    }
+                }
+                for &from in &ps {
+                    for outages in [&outages[..], &[][..]] {
+                        proptest::prop_assert_eq!(
+                            grounded_start(tol, &plan, outages, from),
+                            grounded_start_linear(tol, &plan, outages, from),
+                            "tol {} from {} crashes {:?}",
+                            tol,
+                            from,
+                            plan.crashes()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grounded_start_needs_an_active_partition_at_the_crash() {
+        let crash = |from: f64| CrashWindow {
+            server: ServerId(1),
+            from,
+            to: from + 1.0,
+        };
+        let plan = FaultPlan::new(vec![crash(2.0), crash(1e6)], 0, 0.0, 0, 0.0);
+        assert!(!grounded_start(1e-9, &plan, &[], 2.0));
+        let plan = plan.with_partitions(vec![PartitionWindow {
+            from: 1.5,
+            to: 3.0,
+            mask: 0b01,
+        }]);
+        assert!(grounded_start(1e-9, &plan, &[], 2.0));
+        assert!(grounded_start(1e-9, &plan, &[], 2.0 + 1e-9));
+        assert!(!grounded_start(1e-9, &plan, &[], 2.0 + 1e-8));
+        // The crash at 1e6 has no partition over it.
+        assert!(!grounded_start(1e-9, &plan, &[], 1e6));
+        // A total-outage end grounds on its own; NaN never does.
+        assert!(grounded_start(1e-9, &plan, &[(5.0, 7.0)], 7.0));
+        assert!(!grounded_start(1e-9, &plan, &[(5.0, 7.0)], f64::NAN));
     }
 
     #[test]
