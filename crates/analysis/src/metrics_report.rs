@@ -52,15 +52,15 @@ pub fn render_metrics(snap: &MetricsSnapshot) -> String {
     let _ = writeln!(out, "== metrics/1 ==");
 
     // --- off-line solver ----------------------------------------------
-    let matrix = snap.counter(Counter::SolveMatrixDispatches);
-    let windowed = snap.counter(Counter::SolveSweepDispatches);
+    let matrix = snap.counter(Counter::MatrixSolves);
+    let windowed = snap.counter(Counter::SweepSolves);
     let batched = snap.counter(Counter::SolveBatchInstances);
     let solves = matrix + windowed + batched;
     if solves > 0 {
         let _ = writeln!(out, "off-line solver");
         let _ = writeln!(
             out,
-            "  solves: {solves}  (matrix {}, windowed {}, batched {})",
+            "  solves by kernel: {solves}  (matrix pass {}, windowed sweep {}, batched {})",
             share(matrix, solves),
             share(windowed, solves),
             share(batched, solves)
@@ -316,7 +316,7 @@ mod tests {
         reg.add(Counter::Requests, 120);
         reg.add(Counter::Transfers, 30);
         reg.add(Counter::Extensions, 90);
-        reg.add(Counter::SolveMatrixDispatches, 4);
+        reg.add(Counter::MatrixSolves, 4);
         reg.add(Counter::SolveBatchInstances, 12);
         reg.add(Counter::SolveBatchDispatches, 2);
         reg.add(Counter::SolveBatchStageNanos, 1_000_000);

@@ -8,7 +8,7 @@
 //! a branch-free pivot window scan. Per-instance setup amortizes — one
 //! buffer reservation, no CSR build, no `Option` discriminants in the hot
 //! loop — while the computed tables stay **bit-identical** to
-//! [`super::solve_fast_in`] / [`super::solve_auto_in`] (asserted by the
+//! [`super::solve_fast_in`] / [`super::solve_naive_in`] (asserted by the
 //! differential proptests):
 //!
 //! * the staged `b`/`B` lanes reproduce [`mcc_model::Prescan::recompute`]'s exact
@@ -47,7 +47,7 @@ use mcc_obs::{Counter, Hist, Sink, Span};
 /// let a = Instance::<f64>::from_compact("m=2 mu=1 lambda=1 | s2@0.5 s1@2.0").unwrap();
 /// let b = Instance::<f64>::from_compact("m=3 mu=2 lambda=3 | s3@1.0 s3@1.2").unwrap();
 /// let mut ws = BatchWorkspace::new();
-/// solve_batch_in(&[&a, &b], &mut ws);
+/// solve_batch_in(&[&a, &b], &mut ws, mcc_obs::noop());
 /// assert_eq!(ws.optimal_cost(0), solve_fast(&a).optimal_cost());
 /// assert_eq!(ws.optimal_cost(1), solve_fast(&b).optimal_cost());
 /// ```
@@ -126,15 +126,10 @@ impl<S: Scalar> BatchWorkspace<S> {
         self.c[self.scan.lane(k).end - 1]
     }
 
-    /// Solves every staged lane (no observability).
-    pub fn solve(&mut self) {
-        self.solve_obs(mcc_obs::noop());
-    }
-
     /// Solves every staged lane, reporting the batch dispatch, the lane
     /// count and the kernel wall time to `sink`. Against the no-op sink no
     /// clock is read; the sink never changes what is computed.
-    pub fn solve_obs(&mut self, sink: &dyn Sink) {
+    pub fn solve(&mut self, sink: &dyn Sink) {
         sink.add(Counter::SolveBatchDispatches, 1);
         sink.add(Counter::SolveBatchInstances, self.len() as u64);
         let _dp = Span::with_hist(sink, Counter::SolveBatchDpNanos, Hist::BatchSolveNanos);
@@ -253,17 +248,10 @@ fn dp_lane<S: Scalar>(
 /// pass. Returns the workspace for lane reads ([`BatchWorkspace::c`],
 /// [`BatchWorkspace::optimal_cost`], …). Zero heap allocations once the
 /// workspace is warm at this total size.
-pub fn solve_batch_in<'w, S: Scalar>(
-    insts: &[&Instance<S>],
-    ws: &'w mut BatchWorkspace<S>,
-) -> &'w BatchWorkspace<S> {
-    solve_batch_obs_in(insts, ws, mcc_obs::noop())
-}
-
-/// [`solve_batch_in`] with staging and kernel phases reported to `sink`:
-/// the SoA fill lands in [`Counter::SolveBatchStageNanos`], the DP kernel
+///
+/// The SoA fill lands in [`Counter::SolveBatchStageNanos`], the DP kernel
 /// in [`Counter::SolveBatchDpNanos`] + [`Hist::BatchSolveNanos`].
-pub fn solve_batch_obs_in<'w, S: Scalar>(
+pub fn solve_batch_in<'w, S: Scalar>(
     insts: &[&Instance<S>],
     ws: &'w mut BatchWorkspace<S>,
     sink: &dyn Sink,
@@ -275,7 +263,7 @@ pub fn solve_batch_obs_in<'w, S: Scalar>(
             ws.push(inst);
         }
     }
-    ws.solve_obs(sink);
+    ws.solve(sink);
     ws
 }
 
@@ -296,7 +284,7 @@ mod tests {
         let inst = fig6();
         let scalar = solve_fast(&inst);
         let mut ws = BatchWorkspace::new();
-        solve_batch_in(&[&inst], &mut ws);
+        solve_batch_in(&[&inst], &mut ws, mcc_obs::noop());
         assert_eq!(ws.c(0), &scalar.c[..]);
         for i in 0..=inst.n() {
             let (bd, sd) = (ws.d(0)[i], scalar.d[i]);
@@ -312,7 +300,7 @@ mod tests {
         let empty = Instance::<f64>::from_compact("m=2 mu=1 lambda=1 |").unwrap();
         let single = Instance::<f64>::from_compact("m=2 mu=1 lambda=1 | s2@0.5").unwrap();
         let mut ws = BatchWorkspace::new();
-        solve_batch_in(&[&a, &b, &empty, &single], &mut ws);
+        solve_batch_in(&[&a, &b, &empty, &single], &mut ws, mcc_obs::noop());
         assert_eq!(ws.len(), 4);
         for (k, inst) in [&a, &b, &empty, &single].iter().enumerate() {
             assert_eq!(
@@ -330,23 +318,23 @@ mod tests {
         let big = fig6();
         let small = Instance::<f64>::from_compact("m=2 mu=1 lambda=1 | s2@0.5 s1@1.0").unwrap();
         let mut ws = BatchWorkspace::new();
-        solve_batch_in(&[&big, &big, &big], &mut ws);
+        solve_batch_in(&[&big, &big, &big], &mut ws, mcc_obs::noop());
         // Smaller re-stage over dirty buffers must match a fresh solve.
-        solve_batch_in(&[&small], &mut ws);
+        solve_batch_in(&[&small], &mut ws, mcc_obs::noop());
         assert_eq!(ws.len(), 1);
         assert_eq!(ws.optimal_cost(0), solve_fast(&small).optimal_cost());
         // And growing again is fine too.
-        solve_batch_in(&[&small, &big], &mut ws);
+        solve_batch_in(&[&small, &big], &mut ws, mcc_obs::noop());
         assert_eq!(ws.optimal_cost(1), solve_fast(&big).optimal_cost());
     }
 
     #[test]
-    fn solve_obs_reports_batch_metrics() {
+    fn solve_reports_batch_metrics() {
         use mcc_obs::Registry;
         let reg = Registry::new();
         let inst = fig6();
         let mut ws = BatchWorkspace::new();
-        solve_batch_obs_in(&[&inst, &inst], &mut ws, &reg);
+        solve_batch_in(&[&inst, &inst], &mut ws, &reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::SolveBatchDispatches), 1);
         assert_eq!(snap.counter(Counter::SolveBatchInstances), 2);

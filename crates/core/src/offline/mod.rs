@@ -3,23 +3,27 @@
 //! Given the full request sequence in advance (the "trajectory" setting),
 //! compute a minimum-cost set of caches and transfers:
 //!
-//! * [`solve_fast`] — the paper's O(mn) time/space algorithm (Theorem 2);
-//! * [`solve_fast_compact`] — O(n + m) space / O(mn log n) time variant;
-//! * [`solve_naive`] — the windowed reference sweep (O(nm) amortized);
-//! * [`solve_auto`] — shape-based dispatch between the matrix pass and the
-//!   windowed sweep (whichever is empirically faster at the instance's
-//!   `n·m`), used by the sweep hot path;
-//! * [`solve_batch_in`] — the batched SoA kernel: K instances staged into
-//!   one [`BatchWorkspace`] and solved lane by lane, amortizing per-instance
-//!   setup (bit-identical values, no provenance);
+//! * [`solve_fast`] / [`solve_fast_in`] — the paper's O(mn) time/space
+//!   algorithm (Theorem 2), allocating or into a reusable
+//!   [`SolverWorkspace`];
+//! * [`solve_naive`] / [`solve_naive_in`] — the windowed reference sweep
+//!   (O(nm) amortized, O(n + m) space), the kernel the run pipeline uses
+//!   because it is the faster of the two at every measured shape;
+//! * [`solve_batch_in`] / [`BatchWorkspace::solve`] — the batched SoA
+//!   kernel: K instances staged into one [`BatchWorkspace`] and solved lane
+//!   by lane, amortizing per-instance setup (bit-identical values, no
+//!   provenance);
 //! * [`solve_quadratic`] — the paper's Θ(n²) straightforward implementation;
 //! * [`brute_force_cost`] — an exponential exact oracle for tiny instances
 //!   sharing no code with the recurrences;
 //! * [`capped_optimal_cost`] — the exact optimum under a replication cap
 //!   (≤ K simultaneous copies), bridging Table I's fixed-k and dynamic
 //!   columns;
-//! * [`reconstruct()`] — turns DP tables into an explicit, validated
-//!   [`mcc_model::Schedule`].
+//! * [`reconstruct()`] — turns a solved [`SolverWorkspace`] into an
+//!   explicit, validated [`mcc_model::Schedule`].
+//!
+//! Every workspace entry point (`*_in`, [`BatchWorkspace::solve`]) takes a
+//! metrics [`mcc_obs::Sink`]; pass [`mcc_obs::noop()`] for none.
 //!
 //! One-call conveniences: [`optimal_cost`] and [`optimal_schedule`].
 
@@ -31,19 +35,15 @@ pub mod naive;
 pub mod reconstruct;
 pub mod tables;
 
-pub use batch::{solve_batch_in, solve_batch_obs_in, BatchWorkspace};
+pub use batch::{solve_batch_in, BatchWorkspace};
 pub use brute::{brute_force_cost, MAX_BRUTE_M, MAX_BRUTE_N};
 pub use capped::{capped_optimal_cost, MAX_CAPPED_M, MAX_CAPPED_N};
-pub use fast::{
-    solve_auto, solve_auto_in, solve_auto_obs_in, solve_fast, solve_fast_compact,
-    solve_fast_compact_in, solve_fast_compact_with, solve_fast_in, solve_fast_obs_in,
-    solve_fast_with, solve_naive_in, solve_naive_obs_in, SolverWorkspace, AUTO_CROSSOVER_CELLS,
-};
-pub use naive::{solve_naive, solve_naive_with, solve_quadratic, solve_quadratic_with};
+pub use fast::{solve_fast, solve_fast_in, SolverWorkspace};
+pub use naive::{solve_naive, solve_naive_in, solve_quadratic};
 pub use reconstruct::reconstruct;
 pub use tables::{CStep, DStep, DpSolution, PivotSource};
 
-use mcc_model::{Instance, Prescan, Scalar, Schedule};
+use mcc_model::{Instance, Scalar, Schedule};
 
 /// The minimum total service cost `C(n)` for an instance, via the O(mn)
 /// solver.
@@ -80,11 +80,9 @@ pub fn optimal_cost<S: Scalar>(inst: &Instance<S>) -> S {
 /// assert!((checked.total - cost).abs() < 1e-9);
 /// ```
 pub fn optimal_schedule<S: Scalar>(inst: &Instance<S>) -> (Schedule<S>, S) {
-    let scan = Prescan::compute(inst);
-    let sol = solve_fast_with(inst, &scan);
-    let sched = reconstruct(inst, &scan, &sol);
-    let cost = sol.optimal_cost();
-    (sched, cost)
+    let mut ws = SolverWorkspace::new();
+    let cost = solve_fast_in(inst, &mut ws, mcc_obs::noop()).optimal_cost();
+    (reconstruct(inst, &ws), cost)
 }
 
 #[cfg(test)]

@@ -23,14 +23,15 @@
 //! numbers, very different code paths.
 
 use mcc_model::{Instance, Prescan, Scalar};
+use mcc_obs::{Counter, Hist, Sink, Span};
 
-use super::tables::{run_dp, DpSolution, PivotSource};
+use super::fast::SolverWorkspace;
+use super::tables::{run_dp, run_dp_into, DpSolution, PivotSource};
 
 /// Pivot enumeration scanning the window `(p(i), i)`; total work
-/// telescopes to O(nm) (see module docs). Crate-visible so the workspace
-/// entry points in `fast` can drive it allocation-free.
-pub(crate) struct WindowPivots<'a> {
-    pub(crate) p: &'a [Option<usize>],
+/// telescopes to O(nm) (see module docs).
+struct WindowPivots<'a> {
+    p: &'a [Option<usize>],
 }
 
 impl PivotSource for WindowPivots<'_> {
@@ -72,26 +73,41 @@ impl PivotSource for FullScanPivots<'_> {
 
 /// Solves by the windowed sweep (O(nm) amortized, O(n + m) space).
 pub fn solve_naive<S: Scalar>(inst: &Instance<S>) -> DpSolution<S> {
-    let scan = Prescan::compute(inst);
-    solve_naive_with(inst, &scan)
+    let mut ws = SolverWorkspace::new();
+    solve_naive_in(inst, &mut ws, mcc_obs::noop());
+    ws.take_solution()
 }
 
-/// [`solve_naive`] reusing a precomputed [`Prescan`].
-pub fn solve_naive_with<S: Scalar>(inst: &Instance<S>, scan: &Prescan<S>) -> DpSolution<S> {
-    let mut pivots = WindowPivots { p: &scan.p };
-    run_dp(inst, scan, &mut pivots)
+/// [`solve_naive`] into a reusable [`SolverWorkspace`]: the windowed
+/// sweep driven off the workspace's pre-scan and DP tables (the pointer
+/// matrix stays untouched). Zero heap allocations once warm.
+///
+/// The run pipeline's solver: it wins on every measured shape (see
+/// EXPERIMENTS.md E1). Counts one [`Counter::SweepSolves`] and
+/// reports the prescan and DP spans to `sink`; the sweep builds no
+/// matrix. The sink never changes what is computed.
+pub fn solve_naive_in<'w, S: Scalar>(
+    inst: &Instance<S>,
+    ws: &'w mut SolverWorkspace<S>,
+    sink: &dyn Sink,
+) -> &'w DpSolution<S> {
+    sink.add(Counter::SweepSolves, 1);
+    let _solve = Span::with_hist(sink, Counter::SolveNanos, Hist::SolveNanos);
+    {
+        let _p = Span::start(sink, Counter::SolvePrescanNanos);
+        ws.scan.recompute(inst);
+    }
+    let _d = Span::start(sink, Counter::SolveDpNanos);
+    let mut pivots = WindowPivots { p: &ws.scan.p };
+    run_dp_into(inst, &ws.scan, &mut pivots, &mut ws.solution);
+    &ws.solution
 }
 
 /// Solves by the paper's Θ(n²) straightforward implementation.
 pub fn solve_quadratic<S: Scalar>(inst: &Instance<S>) -> DpSolution<S> {
     let scan = Prescan::compute(inst);
-    solve_quadratic_with(inst, &scan)
-}
-
-/// [`solve_quadratic`] reusing a precomputed [`Prescan`].
-pub fn solve_quadratic_with<S: Scalar>(inst: &Instance<S>, scan: &Prescan<S>) -> DpSolution<S> {
     let mut pivots = FullScanPivots { p: &scan.p };
-    run_dp(inst, scan, &mut pivots)
+    run_dp(inst, &scan, &mut pivots)
 }
 
 #[cfg(test)]

@@ -22,17 +22,17 @@
 
 use mcc_model::{Instance, Prescan, Scalar, Schedule};
 
+use super::fast::SolverWorkspace;
 use super::tables::{CStep, DStep, DpSolution};
 
-/// Rebuilds an optimal schedule from solved DP tables.
+/// Rebuilds an optimal schedule from a solved workspace: its pre-scan and
+/// DP tables.
 ///
-/// `sol` must come from one of the solvers in this crate run on the same
-/// `inst`. The returned schedule is normalized (sorted, merged intervals).
-pub fn reconstruct<S: Scalar>(
-    inst: &Instance<S>,
-    scan: &Prescan<S>,
-    sol: &DpSolution<S>,
-) -> Schedule<S> {
+/// `ws` must hold the most recent [`super::solve_fast_in`] or
+/// [`super::solve_naive_in`] solve of this same `inst`. The returned
+/// schedule is normalized (sorted, merged intervals).
+pub fn reconstruct<S: Scalar>(inst: &Instance<S>, ws: &SolverWorkspace<S>) -> Schedule<S> {
+    let (scan, sol) = (ws.prescan(), ws.solution());
     let mut sched = Schedule::new();
     let n = inst.n();
     if n > 0 {
@@ -125,26 +125,25 @@ fn serve_at_bound<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offline::fast::solve_fast_with;
-    use crate::offline::naive::solve_naive_with;
+    use crate::offline::{solve_fast_in, solve_naive_in};
     use mcc_model::validate;
+    use mcc_obs::noop;
 
     fn check_roundtrip(compact: &str) -> (f64, Schedule<f64>) {
         let inst = Instance::<f64>::from_compact(compact).unwrap();
-        let scan = Prescan::compute(&inst);
-        let sol = solve_fast_with(&inst, &scan);
-        let sched = reconstruct(&inst, &scan, &sol);
+        let mut ws = SolverWorkspace::new();
+        let opt = solve_fast_in(&inst, &mut ws, noop()).optimal_cost();
+        let sched = reconstruct(&inst, &ws);
         let validated = validate(&inst, &sched)
             .unwrap_or_else(|errs| panic!("infeasible reconstruction for `{compact}`: {errs:?}"));
         assert!(
-            (validated.total - sol.optimal_cost()).abs() < 1e-9,
-            "reconstructed cost {} != C(n) {} for `{compact}`",
+            (validated.total - opt).abs() < 1e-9,
+            "reconstructed cost {} != C(n) {opt} for `{compact}`",
             validated.total,
-            sol.optimal_cost()
         );
         // The naive solver must reconstruct to the same cost too.
-        let sol2 = solve_naive_with(&inst, &scan);
-        let sched2 = reconstruct(&inst, &scan, &sol2);
+        solve_naive_in(&inst, &mut ws, noop());
+        let sched2 = reconstruct(&inst, &ws);
         let v2 = validate(&inst, &sched2).expect("naive reconstruction feasible");
         assert!((v2.total - validated.total).abs() < 1e-9);
         (validated.total, sched)
@@ -163,9 +162,9 @@ mod tests {
     #[test]
     fn empty_instance_reconstructs_empty() {
         let inst = Instance::<f64>::from_compact("m=3 mu=1 lambda=1 |").unwrap();
-        let scan = Prescan::compute(&inst);
-        let sol = solve_fast_with(&inst, &scan);
-        let sched = reconstruct(&inst, &scan, &sol);
+        let mut ws = SolverWorkspace::new();
+        solve_fast_in(&inst, &mut ws, noop());
+        let sched = reconstruct(&inst, &ws);
         assert!(sched.caches.is_empty() && sched.transfers.is_empty());
     }
 

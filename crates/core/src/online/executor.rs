@@ -7,9 +7,10 @@
 //! daemon makes per arriving request — batch replay and real-time
 //! serving share one decision core.
 
-use mcc_model::{Instance, Request, Scalar, Schedule};
+use mcc_model::{CostModel, Instance, Request, Scalar, Schedule};
 
 use super::decider::OnlineDecider;
+use super::fault::{brownout_surcharge, FaultPlan, FaultStats};
 use super::policy::{OnlinePolicy, ServeAction};
 use super::tracker::{RunRecord, Runtime};
 
@@ -105,8 +106,9 @@ pub fn run_policy_record<'rt, S: Scalar, P: OnlineDecider<S> + ?Sized>(
 
 /// Finalizes `rt` exactly the way batch replay does: every copy still
 /// live closes at the policy's [`OnlinePolicy::close_time`], except that
-/// an empty sequence never speculates. Shared with the `mcc-serve`
-/// engine so a served item and a replayed one finalize bit-identically.
+/// an empty sequence never speculates. Every driver finalizes through it
+/// (both executors, `mcc-simnet`'s engine and the `mcc-serve` engine), so
+/// a served item and a replayed one finalize bit-identically.
 pub fn finalize_record<'rt, S: Scalar, P: OnlinePolicy<S> + ?Sized>(
     policy: &P,
     rt: &'rt mut Runtime<S>,
@@ -148,6 +150,53 @@ pub fn stats_from_record<S: Scalar>(
     }
 }
 
+/// The reported cost of one finished run. See [`settle`].
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct Settlement {
+    /// The brownout surcharge of the record's geometry under the plan
+    /// (`0` without a plan).
+    pub brownout_cost: f64,
+    /// Schedule cost plus the brownout surcharge: the cost the auditors
+    /// check the record against.
+    pub audited_cost: f64,
+    /// The audited cost plus the fault-tolerant wrapper's retry, replay
+    /// and reseed surcharges: the run's reported online cost.
+    pub online_cost: f64,
+}
+
+/// Settles a finished run: the one cost fold every driver applies, so a
+/// replayed seed, a served item and an audited record agree to the bit.
+///
+/// The fold, in this exact operation order:
+/// 1. `stats.total_cost + brownout` is the audited cost, where the
+///    brownout surcharge is [`brownout_surcharge`] of `rec` under `plan`;
+/// 2. `audited + retry + replay + reseed` is the online cost, the three
+///    surcharges read from the wrapper's counters. A run without a
+///    wrapper (`surcharges` is `None`) reports its audited cost.
+///
+/// `plan` is the fault plan the run was degraded by, whether or not the
+/// policy knew about it; `None` for a healthy run.
+#[inline]
+pub fn settle(
+    rec: &RunRecord<f64>,
+    stats: &RunStats<f64>,
+    cost: &CostModel<f64>,
+    plan: Option<&FaultPlan>,
+    surcharges: Option<&FaultStats>,
+) -> Settlement {
+    let brownout_cost = plan.map_or(0.0, |plan| brownout_surcharge(plan, rec, cost));
+    let audited_cost = stats.total_cost + brownout_cost;
+    let online_cost = match surcharges {
+        Some(f) => audited_cost + f.retry_cost + f.replay_cost + f.reseed_cost,
+        None => audited_cost,
+    };
+    Settlement {
+        brownout_cost,
+        audited_cost,
+        online_cost,
+    }
+}
+
 /// Runs `policy` over `inst`'s request sequence (strictly online: one
 /// request at a time, in time order).
 ///
@@ -166,13 +215,8 @@ pub fn run_policy<S: Scalar, P: OnlineDecider<S> + ?Sized>(
         actions.push(policy.observe(req, &mut rt).action);
     }
     policy.on_finish();
-    let horizon = inst.horizon();
-    let record = if inst.n() == 0 {
-        // No service period at all: the initial copy never speculates.
-        rt.finish(|_, last_touch| last_touch)
-    } else {
-        rt.finish(|server, last_touch| policy.close_time(server, last_touch, horizon))
-    };
+    finalize_record(policy, &mut rt, inst.n(), inst.horizon());
+    let record = rt.into_record();
     let schedule = record.to_schedule();
 
     #[cfg(debug_assertions)]
@@ -277,6 +321,70 @@ mod tests {
         // Re-running on the same warm runtime gives the same answer.
         let (again, _) = run_policy_record(&mut policy, &inst, &mut rt);
         assert_eq!(again, stats);
+    }
+
+    #[test]
+    fn settle_folds_surcharges_in_order() {
+        use super::super::fault::BrownoutWindow;
+        use super::super::tracker::{CopyRecord, TransferRecord};
+
+        // One copy on s^2 over [1, 5] and one transfer into s^2 at t = 1,
+        // under μ = 2, λ = 3: schedule cost 2·4 + 3 = 11.
+        let cost = CostModel::new(2.0, 3.0).unwrap();
+        let s2 = ServerId::from_index(1);
+        let rec = RunRecord {
+            records: vec![CopyRecord {
+                server: s2,
+                from: 1.0,
+                last_touch: 5.0,
+                to: 5.0,
+            }],
+            transfers: vec![TransferRecord {
+                src: ServerId::ORIGIN,
+                dst: s2,
+                at: 1.0,
+                epoch: 0,
+            }],
+            epoch_boundaries: Vec::new(),
+        };
+        let stats = stats_from_record(&rec, &cost, 0, 0);
+        assert_eq!(stats.total_cost, 11.0);
+
+        // Healthy run: nothing to add.
+        let healthy = settle(&rec, &stats, &cost, None, None);
+        assert_eq!(healthy.brownout_cost, 0.0);
+        assert_eq!(healthy.audited_cost, 11.0);
+        assert_eq!(healthy.online_cost, 11.0);
+
+        // s^2 browned out at factor 3 over [0, 2]: the copy overlaps one
+        // unit (μ·(3 − 1)·1 = 4) and the transfer lands inside the window
+        // (λ·(3 − 1) = 6), so the surcharge is 10.
+        let plan = FaultPlan::none().with_brownouts(vec![BrownoutWindow {
+            server: s2,
+            from: 0.0,
+            to: 2.0,
+            factor: 3.0,
+        }]);
+        let oblivious = settle(&rec, &stats, &cost, Some(&plan), None);
+        assert_eq!(oblivious.brownout_cost, 10.0);
+        assert_eq!(oblivious.audited_cost, 21.0);
+        assert_eq!(oblivious.online_cost, 21.0);
+
+        // Wrapped: retry 1.5, replay 0.25, reseed 4 ride on top of the
+        // audited cost; the latency fields and the counters add nothing.
+        let f = FaultStats {
+            retry_cost: 1.5,
+            replay_cost: 0.25,
+            reseed_cost: 4.0,
+            backoff_wait: 100.0,
+            total_delay: 100.0,
+            retries: 7,
+            ..FaultStats::default()
+        };
+        let wrapped = settle(&rec, &stats, &cost, Some(&plan), Some(&f));
+        assert_eq!(wrapped.audited_cost, 21.0);
+        assert_eq!(wrapped.online_cost, 26.75);
+        assert_eq!(wrapped.brownout_cost, 10.0);
     }
 
     #[test]

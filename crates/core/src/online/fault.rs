@@ -931,12 +931,6 @@ impl<P> FaultTolerant<P> {
         &self.stats
     }
 
-    /// Mutable access to the counters (the run pipeline fills
-    /// [`FaultStats::brownout_cost`] after finalization).
-    pub fn stats_mut(&mut self) -> &mut FaultStats {
-        &mut self.stats
-    }
-
     /// The plan this wrapper runs against.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan

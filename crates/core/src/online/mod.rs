@@ -27,7 +27,8 @@ pub use baselines::{Follow, KeepEverywhere, StayAtOrigin};
 pub use decider::{DeciderStats, Decision, OnlineDecider};
 pub use dt::{double_transfer, DtCache, DtSchedule, DtTransfer};
 pub use executor::{
-    finalize_record, run_policy, run_policy_record, stats_from_record, OnlineRun, RunStats,
+    finalize_record, run_policy, run_policy_record, settle, stats_from_record, OnlineRun, RunStats,
+    Settlement,
 };
 pub use fault::{
     brownout_surcharge, BrownoutWindow, CrashWindow, FaultPlan, FaultStats, FaultTolerant,

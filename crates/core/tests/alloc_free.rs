@@ -1,6 +1,6 @@
 //! Asserts the `SolverWorkspace` zero-allocation guarantee: once a
-//! workspace is warm at a shape, `solve_fast_in` / `solve_fast_compact_in`
-//! perform **zero** heap allocations per solve.
+//! workspace is warm at a shape, `solve_fast_in` / `solve_naive_in` /
+//! `solve_batch_in` perform **zero** heap allocations per solve.
 //!
 //! This file must remain the SOLE test in its integration-test binary: the
 //! counting `#[global_allocator]` observes the whole process, and the test
@@ -11,9 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use mcc_core::offline::{
-    solve_batch_in, solve_fast_compact_in, solve_fast_in, BatchWorkspace, SolverWorkspace,
+    solve_batch_in, solve_fast_in, solve_naive_in, BatchWorkspace, SolverWorkspace,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
+use mcc_obs::noop;
 
 /// Counts allocation *events* (alloc/realloc/alloc_zeroed) while armed.
 struct CountingAlloc;
@@ -70,31 +71,31 @@ fn warm_workspace_solves_allocate_nothing() {
     let small = instance(300, 8);
     let mut ws = SolverWorkspace::new();
 
-    // Warm-up at the largest shape (grows every buffer), plus one compact
+    // Warm-up at the largest shape (grows every buffer), plus one sweep
     // solve so its paths are warm too.
-    let expect = solve_fast_in(&big, &mut ws).optimal_cost();
-    let _ = solve_fast_compact_in(&big, &mut ws);
+    let expect = solve_fast_in(&big, &mut ws, noop()).optimal_cost();
+    let _ = solve_naive_in(&big, &mut ws, noop());
 
     // Warm the batched kernel at its largest staging (the sweep's chunk
     // width is 8; warm one wider to cover ragged final chunks).
     let batch_insts = [&big, &small, &big, &small, &big, &small, &big, &small, &big];
     let mut bws = BatchWorkspace::new();
-    solve_batch_in(&batch_insts, &mut bws);
+    solve_batch_in(&batch_insts, &mut bws, noop());
     let batch_expect = bws.optimal_cost(0);
 
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..5 {
-        let got = solve_fast_in(&big, &mut ws).optimal_cost();
+        let got = solve_fast_in(&big, &mut ws, noop()).optimal_cost();
         assert_eq!(got, expect);
         // Shape changes within the warmed envelope must stay free too.
-        let _ = solve_fast_in(&small, &mut ws);
-        let _ = solve_fast_compact_in(&small, &mut ws);
-        let _ = solve_fast_compact_in(&big, &mut ws);
+        let _ = solve_fast_in(&small, &mut ws, noop());
+        let _ = solve_naive_in(&small, &mut ws, noop());
+        assert_eq!(solve_naive_in(&big, &mut ws, noop()).optimal_cost(), expect);
         // The warm batched kernel: full restage + solve, zero allocations.
-        solve_batch_in(&batch_insts, &mut bws);
+        solve_batch_in(&batch_insts, &mut bws, noop());
         assert_eq!(bws.optimal_cost(0), batch_expect);
         // Smaller batches over the dirty buffers stay free as well.
-        solve_batch_in(&[&small, &big], &mut bws);
+        solve_batch_in(&[&small, &big], &mut bws, noop());
     }
     ARMED.store(false, Ordering::SeqCst);
 

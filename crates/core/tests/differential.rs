@@ -1,6 +1,6 @@
 //! Differential testing of the off-line solvers.
 //!
-//! The fast O(mn) DP, the space-lean variant, the naive sweep and the
+//! The fast O(mn) DP, the windowed sweep, the quadratic strawman and the
 //! exhaustive oracle must agree *exactly* — we run them over the [`Fixed`]
 //! scalar with all inputs on a millisecond grid, so every `μ·duration`
 //! product is exact and `==` is sound (see `mcc_model::scalar` docs).
@@ -8,11 +8,11 @@
 //! at exactly the DP's claimed cost.
 
 use mcc_core::offline::{
-    brute_force_cost, reconstruct, solve_auto_in, solve_batch_in, solve_fast,
-    solve_fast_compact_in, solve_fast_compact_with, solve_fast_in, solve_fast_with, solve_naive,
-    solve_naive_with, solve_quadratic_with, BatchWorkspace, SolverWorkspace,
+    brute_force_cost, reconstruct, solve_batch_in, solve_fast, solve_fast_in, solve_naive,
+    solve_naive_in, solve_quadratic, BatchWorkspace, SolverWorkspace,
 };
-use mcc_model::{validate, CostModel, Fixed, Instance, Prescan, Request, Scalar};
+use mcc_model::{validate, CostModel, Fixed, Instance, Request, Scalar};
+use mcc_obs::noop;
 use proptest::prelude::*;
 
 /// Strategy: a random instance on a millisecond grid.
@@ -78,21 +78,17 @@ proptest! {
     /// The recurrence solvers and the exhaustive oracle agree bit-exactly.
     #[test]
     fn dp_matches_brute_force_exactly(inst in small_instance()) {
-        let scan = Prescan::compute(&inst);
-        let fast = solve_fast_with(&inst, &scan);
-        let compact = solve_fast_compact_with(&inst, &scan);
-        let naive = solve_naive_with(&inst, &scan);
-        let quadratic = solve_quadratic_with(&inst, &scan);
+        let fast = solve_fast(&inst);
+        let naive = solve_naive(&inst);
+        let quadratic = solve_quadratic(&inst);
         let oracle = brute_force_cost(&inst);
         prop_assert_eq!(fast.optimal_cost(), oracle, "fast vs oracle on {}", inst.to_compact());
-        prop_assert_eq!(compact.optimal_cost(), oracle, "compact vs oracle");
         prop_assert_eq!(naive.optimal_cost(), oracle, "naive vs oracle");
         prop_assert_eq!(quadratic.optimal_cost(), oracle, "quadratic vs oracle");
         // Full tables agree, not just the end value.
         for i in 0..=inst.n() {
             prop_assert_eq!(fast.c[i], naive.c[i]);
             prop_assert_eq!(fast.d[i], naive.d[i]);
-            prop_assert_eq!(compact.c[i], naive.c[i]);
             prop_assert_eq!(quadratic.c[i], naive.c[i]);
         }
     }
@@ -102,52 +98,54 @@ proptest! {
     /// number.
     #[test]
     fn reconstruction_is_feasible_and_exactly_optimal(inst in small_instance()) {
-        let scan = Prescan::compute(&inst);
-        let sol = solve_fast_with(&inst, &scan);
-        let sched = reconstruct(&inst, &scan, &sol);
+        let mut ws = SolverWorkspace::new();
+        let opt = solve_fast_in(&inst, &mut ws, noop()).optimal_cost();
+        let sched = reconstruct(&inst, &ws);
         let validated = validate(&inst, &sched)
             .map_err(|e| TestCaseError::fail(format!("infeasible: {e:?} on {}", inst.to_compact())))?;
         prop_assert_eq!(
             validated.total,
-            sol.optimal_cost(),
+            opt,
             "reconstructed cost differs on {}",
             inst.to_compact()
         );
     }
 
     /// A dirty reused workspace changes no bit of the output: both `_in`
-    /// solvers after solving an unrelated instance produce exactly the
-    /// tables — values *and* provenance — of a fresh allocating solve, and
-    /// exactly the naive sweep's values. (Provenance is only compared
-    /// against `solve_fast`/`solve_fast_compact`, which enumerate pivots in
-    /// the same order; the sweep may break cost ties differently.)
+    /// kernels after solving an unrelated instance produce exactly the
+    /// tables — values *and* provenance — of their fresh allocating solve,
+    /// and the two kernels agree on every value. (Provenance is only
+    /// compared kernel against itself: the sweep enumerates pivots in a
+    /// different order and may break cost ties differently.)
     #[test]
     fn workspace_reuse_is_bit_exact(dirty in small_instance(), inst in small_instance()) {
         let mut ws = SolverWorkspace::new();
-        let _ = solve_fast_in(&dirty, &mut ws);
-        let _ = solve_fast_compact_in(&dirty, &mut ws);
+        let _ = solve_fast_in(&dirty, &mut ws, noop());
+        let _ = solve_naive_in(&dirty, &mut ws, noop());
         let fresh = solve_fast(&inst);
         let naive = solve_naive(&inst);
-        let sol = solve_fast_in(&inst, &mut ws);
+        let sol = solve_fast_in(&inst, &mut ws, noop());
         prop_assert_eq!(&sol.c, &fresh.c, "C on {}", inst.to_compact());
         prop_assert_eq!(&sol.d, &fresh.d);
         prop_assert_eq!(&sol.c_from, &fresh.c_from);
         prop_assert_eq!(&sol.d_from, &fresh.d_from);
         prop_assert_eq!(&sol.c, &naive.c);
         prop_assert_eq!(&sol.d, &naive.d);
-        let sol = solve_fast_compact_in(&inst, &mut ws);
-        prop_assert_eq!(&sol.c, &fresh.c);
-        prop_assert_eq!(&sol.d, &fresh.d);
-        prop_assert_eq!(&sol.c_from, &fresh.c_from);
-        prop_assert_eq!(&sol.d_from, &fresh.d_from);
+        let _ = solve_fast_in(&dirty, &mut ws, noop());
+        let sol = solve_naive_in(&inst, &mut ws, noop());
+        prop_assert_eq!(&sol.c, &naive.c);
+        prop_assert_eq!(&sol.d, &naive.d);
+        prop_assert_eq!(&sol.c_from, &naive.c_from);
+        prop_assert_eq!(&sol.d_from, &naive.d_from);
     }
 
     /// The running bound B_n is a true lower bound and C is monotone.
     #[test]
     fn structural_invariants(inst in small_instance()) {
-        let scan = Prescan::compute(&inst);
-        let sol = solve_fast_with(&inst, &scan);
-        prop_assert!(scan.total_lower_bound() <= sol.optimal_cost());
+        let mut ws = SolverWorkspace::new();
+        solve_fast_in(&inst, &mut ws, noop());
+        let sol = ws.solution();
+        prop_assert!(ws.prescan().total_lower_bound() <= sol.optimal_cost());
         for i in 1..=inst.n() {
             prop_assert!(sol.c[i] >= sol.c[i-1], "C must be nondecreasing");
             prop_assert!(sol.d[i] >= sol.c[i], "C(i) ≤ D(i) by definition");
@@ -165,13 +163,13 @@ proptest! {
     ) {
         let mut bws = BatchWorkspace::new();
         let dirty_views: Vec<&Instance<Fixed>> = dirty.iter().collect();
-        solve_batch_in(&dirty_views, &mut bws);
+        solve_batch_in(&dirty_views, &mut bws, noop());
         let views: Vec<&Instance<Fixed>> = insts.iter().collect();
-        solve_batch_in(&views, &mut bws);
+        solve_batch_in(&views, &mut bws, noop());
         prop_assert_eq!(bws.len(), insts.len());
         let mut ws = SolverWorkspace::new();
         for (k, inst) in insts.iter().enumerate() {
-            let scalar = solve_fast_in(inst, &mut ws);
+            let scalar = solve_fast_in(inst, &mut ws, noop());
             prop_assert_eq!(bws.c(k), &scalar.c[..], "C lane {} on {}", k, inst.to_compact());
             prop_assert_eq!(bws.d(k), &scalar.d[..], "D lane {} on {}", k, inst.to_compact());
             prop_assert_eq!(bws.optimal_cost(k), scalar.optimal_cost());
@@ -180,18 +178,19 @@ proptest! {
 
     /// The same bit-identity holds for `f64` at scale (`to_bits`
     /// comparison, no tolerance): the batched lanes reproduce the windowed
-    /// sweep's and the auto dispatch's tables bit for bit, so swapping the
-    /// sweep pipeline onto the batched kernel can never change a result.
+    /// sweep's tables bit for bit — the sweep is the run pipeline's
+    /// per-seed fallback — so swapping the sweep pipeline onto the batched
+    /// kernel can never change a result.
     #[test]
-    fn batch_is_bit_identical_to_auto_at_scale(
+    fn batch_is_bit_identical_to_the_sweep_at_scale(
         insts in (1usize..=4).prop_flat_map(|k| proptest::collection::vec(medium_instance(), k)),
     ) {
         let views: Vec<&Instance<f64>> = insts.iter().collect();
         let mut bws = BatchWorkspace::new();
-        solve_batch_in(&views, &mut bws);
+        solve_batch_in(&views, &mut bws, noop());
         let mut ws = SolverWorkspace::new();
         for (k, inst) in insts.iter().enumerate() {
-            let scalar = solve_auto_in(inst, &mut ws);
+            let scalar = solve_naive_in(inst, &mut ws, noop());
             for i in 0..=inst.n() {
                 prop_assert_eq!(
                     bws.c(k)[i].to_bits(),
@@ -207,24 +206,22 @@ proptest! {
         }
     }
 
-    /// At scale (f64): both fast variants agree with the naive sweep to
+    /// At scale (f64): the matrix pass agrees with the naive sweep to
     /// floating-point tolerance, and reconstruction stays feasible.
     #[test]
     fn fast_equals_naive_at_scale(inst in medium_instance()) {
-        let scan = Prescan::compute(&inst);
-        let fast = solve_fast_with(&inst, &scan);
-        let compact = solve_fast_compact_with(&inst, &scan);
-        let naive = solve_naive_with(&inst, &scan);
-        prop_assert!(fast.optimal_cost().approx_eq(naive.optimal_cost(), 1e-9));
-        prop_assert!(compact.optimal_cost().approx_eq(naive.optimal_cost(), 1e-9));
-        let sched = reconstruct(&inst, &scan, &fast);
+        let naive = solve_naive(&inst);
+        let mut ws = SolverWorkspace::new();
+        let fast = solve_fast_in(&inst, &mut ws, noop()).optimal_cost();
+        prop_assert!(fast.approx_eq(naive.optimal_cost(), 1e-9));
+        let sched = reconstruct(&inst, &ws);
         let validated = mcc_model::validate_with(
             &inst,
             &sched,
             mcc_model::ValidateOptions { tol: 1e-9 },
         )
         .map_err(|e| TestCaseError::fail(format!("infeasible: {e:?}")))?;
-        prop_assert!(validated.total.approx_eq(fast.optimal_cost(), 1e-7));
+        prop_assert!(validated.total.approx_eq(fast, 1e-7));
     }
 }
 
@@ -243,15 +240,15 @@ fn batch_handles_degenerate_shapes_exactly() {
 
     let mut bws = BatchWorkspace::new();
     // An empty batch is legal and leaves nothing behind.
-    solve_batch_in(&[], &mut bws);
+    solve_batch_in(&[], &mut bws, noop());
     assert_eq!(bws.len(), 0);
     assert!(bws.is_empty());
 
     let insts = [&empty_n, &one_req, &one_server, &normal];
-    solve_batch_in(&insts, &mut bws);
+    solve_batch_in(&insts, &mut bws, noop());
     let mut ws = SolverWorkspace::new();
     for (k, inst) in insts.iter().enumerate() {
-        let scalar = solve_fast_in(inst, &mut ws);
+        let scalar = solve_fast_in(inst, &mut ws, noop());
         assert_eq!(bws.c(k), &scalar.c[..], "C lane {k}");
         assert_eq!(bws.n_of(k), inst.n(), "lane length {k}");
         for i in 0..=inst.n() {

@@ -10,12 +10,12 @@
 //!   structurally for the reconstructed optimal schedule;
 //! * the baselines are feasible and never beat the off-line optimum.
 
-use mcc_core::offline::{optimal_schedule, reconstruct, solve_fast_with};
+use mcc_core::offline::{optimal_schedule, reconstruct, solve_fast_in, SolverWorkspace};
 use mcc_core::online::{
     analyze, double_transfer, run_policy, Follow, KeepEverywhere, OnlineDecider,
     SpeculativeCaching, StayAtOrigin,
 };
-use mcc_model::{validate_with, Instance, Prescan, Request, Scalar, ValidateOptions};
+use mcc_model::{validate_with, Instance, Request, Scalar, ValidateOptions};
 use proptest::prelude::*;
 
 fn random_instance() -> impl Strategy<Value = Instance<f64>> {
@@ -78,9 +78,10 @@ proptest! {
     /// schedule contains the cache H(s_i, t_{p(i)}, t_i).
     #[test]
     fn lemma6_short_intervals_are_cached_in_opt(inst in random_instance()) {
-        let scan = Prescan::compute(&inst);
-        let sol = solve_fast_with(&inst, &scan);
-        let sched = reconstruct(&inst, &scan, &sol);
+        let mut ws = SolverWorkspace::new();
+        solve_fast_in(&inst, &mut ws, mcc_obs::noop());
+        let sched = reconstruct(&inst, &ws);
+        let scan = ws.prescan();
         for i in 1..=inst.n() {
             if let (Some(p_i), Some(sigma)) = (scan.p[i], scan.sigma[i]) {
                 if inst.cost().caching(sigma) < inst.cost().lambda {

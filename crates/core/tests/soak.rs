@@ -5,11 +5,11 @@
 //! larger instances: the deep net for regressions before a release.
 
 use mcc_core::offline::{
-    brute_force_cost, reconstruct, solve_fast_compact_with, solve_fast_with, solve_naive_with,
-    solve_quadratic_with,
+    brute_force_cost, reconstruct, solve_fast, solve_fast_in, solve_naive, solve_quadratic,
+    SolverWorkspace,
 };
 use mcc_core::online::{analyze, double_transfer, run_policy, SpeculativeCaching};
-use mcc_model::{validate, CostModel, Fixed, Instance, Prescan, Request, Scalar};
+use mcc_model::{validate, CostModel, Fixed, Instance, Request, Scalar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,22 +52,16 @@ fn soak_dp_vs_oracle() {
     let mut rng = StdRng::seed_from_u64(0x50a4);
     for case in 0..20_000u32 {
         let inst = random_fixed_instance(&mut rng);
-        let scan = Prescan::compute(&inst);
-        let fast = solve_fast_with(&inst, &scan).optimal_cost();
+        let fast = solve_fast(&inst).optimal_cost();
         let oracle = brute_force_cost(&inst);
         assert_eq!(fast, oracle, "case {case}: {}", inst.to_compact());
         assert_eq!(
-            solve_fast_compact_with(&inst, &scan).optimal_cost(),
-            oracle,
-            "case {case} compact"
-        );
-        assert_eq!(
-            solve_naive_with(&inst, &scan).optimal_cost(),
+            solve_naive(&inst).optimal_cost(),
             oracle,
             "case {case} naive"
         );
         assert_eq!(
-            solve_quadratic_with(&inst, &scan).optimal_cost(),
+            solve_quadratic(&inst).optimal_cost(),
             oracle,
             "case {case} quadratic"
         );
@@ -81,16 +75,15 @@ fn soak_reconstruction() {
     let mut rng = StdRng::seed_from_u64(0x5ec0);
     for case in 0..5_000u32 {
         let inst = random_f64_instance(&mut rng, 400);
-        let scan = Prescan::compute(&inst);
-        let sol = solve_fast_with(&inst, &scan);
-        let sched = reconstruct(&inst, &scan, &sol);
+        let mut ws = SolverWorkspace::new();
+        let opt = solve_fast_in(&inst, &mut ws, mcc_obs::noop()).optimal_cost();
+        let sched = reconstruct(&inst, &ws);
         let v = mcc_model::validate_with(&inst, &sched, mcc_model::ValidateOptions { tol: 1e-9 })
             .unwrap_or_else(|e| panic!("case {case}: infeasible {e:?}"));
         assert!(
-            v.total.approx_eq(sol.optimal_cost(), 1e-7),
-            "case {case}: {} != {}",
+            v.total.approx_eq(opt, 1e-7),
+            "case {case}: {} != {opt}",
             v.total,
-            sol.optimal_cost()
         );
     }
 }

@@ -15,7 +15,7 @@
 //! * **Sharded batched simulation.** Items are partitioned into
 //!   contiguous shards across disjoint-ownership workers (the PR-4 sweep
 //!   idiom: no locks, no shared mutable state) and staged through the
-//!   batched [`mcc_simnet::RunRequest::run_units_src`] path in
+//!   batched [`mcc_simnet::RunRequest::run_units`] path in
 //!   `BATCH_UNITS` chunks, so the per-item hot path is zero-allocation
 //!   once warm and bit-identical across 1/2/8 threads.
 //! * **Capacity-constrained servers.** Per-server slot budgets make the

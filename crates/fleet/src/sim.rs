@@ -6,7 +6,7 @@
 //! path) across disjoint-ownership workers: each worker owns a disjoint
 //! `&mut` range of every [`ItemStates`] column — the parallel-sweep
 //! idiom, no locks, no shared mutable state, no unsafe. Inside a shard
-//! the items stream through [`RunRequest::run_units_src`] in
+//! the items stream through [`RunRequest::run_units`] in
 //! `FLEET_BATCH_UNITS` (64) chunks with a `ShardSource` that generates
 //! each
 //! item's trace under its own `(μ, λ)`; since the batched kernel is
@@ -297,7 +297,7 @@ fn shard_body(
                 }
             });
         } else {
-            req.run_units_src(policy, &src, chunk, out);
+            req.run_units(policy, &src, chunk, out);
         }
         for r in out.iter() {
             let j = (r.seed - base) as usize;

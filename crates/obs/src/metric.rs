@@ -11,10 +11,12 @@
 #[repr(usize)]
 pub enum Counter {
     // --- off-line solver ------------------------------------------------
-    /// `solve_auto_in` dispatches that took the pointer-matrix pass.
-    SolveMatrixDispatches,
-    /// `solve_auto_in` dispatches that took the windowed sweep.
-    SolveSweepDispatches,
+    /// Solves by the pointer-matrix kernel (`solve_fast_in`). Exported
+    /// as `solve_matrix_dispatches`.
+    MatrixSolves,
+    /// Solves by the windowed-sweep kernel (`solve_naive_in`, the run
+    /// pipeline's per-seed solve). Exported as `solve_sweep_dispatches`.
+    SweepSolves,
     /// Nanoseconds spent in the prescan phase (CSR build + bounds).
     SolvePrescanNanos,
     /// Nanoseconds spent building the successor pointer matrix.
@@ -90,7 +92,7 @@ pub enum Counter {
     /// Nanoseconds workers spent acquiring chunks from the dispatcher.
     SweepDispatchWaitNanos,
     // --- batched solver ---------------------------------------------------
-    /// `solve_batch_obs_in` calls (one per filled batch, any size).
+    /// `BatchWorkspace::solve` calls (one per filled batch, any size).
     SolveBatchDispatches,
     /// Instances solved through the batched kernel.
     SolveBatchInstances,
@@ -182,8 +184,8 @@ impl Counter {
 
     /// Every counter, in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::SolveMatrixDispatches,
-        Counter::SolveSweepDispatches,
+        Counter::MatrixSolves,
+        Counter::SweepSolves,
         Counter::SolvePrescanNanos,
         Counter::SolveMatrixBuildNanos,
         Counter::SolveDpNanos,
@@ -241,8 +243,8 @@ impl Counter {
     /// Stable snake_case snapshot key.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::SolveMatrixDispatches => "solve_matrix_dispatches",
-            Counter::SolveSweepDispatches => "solve_sweep_dispatches",
+            Counter::MatrixSolves => "solve_matrix_dispatches",
+            Counter::SweepSolves => "solve_sweep_dispatches",
             Counter::SolvePrescanNanos => "solve_prescan_nanos",
             Counter::SolveMatrixBuildNanos => "solve_matrix_build_nanos",
             Counter::SolveDpNanos => "solve_dp_nanos",

@@ -53,13 +53,16 @@
 //! [`ReplayNote`] per buffered request in arrival order — a side
 //! channel for clients, deliberately *not* part of the decision stream,
 //! which stays identical to batch replay.
+//!
+//! [`OnlineDecider::observe`]: mcc_core::online::OnlineDecider::observe
+//! [`OnlineDecider::expire`]: mcc_core::online::OnlineDecider::expire
+//! [`OnlineDecider::next_expiry`]: mcc_core::online::OnlineDecider::next_expiry
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
 
 use mcc_core::online::{
-    brownout_surcharge, finalize_record, stats_from_record, FaultPlan, FaultTolerant,
-    OnlineDecider, OnlinePolicy, Runtime, ServeAction,
+    finalize_record, settle, stats_from_record, FaultPlan, FaultTolerant, Runtime, ServeAction,
 };
 use mcc_model::{CostModel, Request, ServerId};
 use mcc_obs::{Counter, Gauge, Hist, Sink};
@@ -293,16 +296,6 @@ struct ItemSlot {
     live: usize,
 }
 
-impl ItemSlot {
-    /// The item's next believed expiry, if its policy exposes one.
-    fn next_expiry(&self) -> Option<f64> {
-        match &self.policy {
-            RunPolicy::Plain(p) => p.next_expiry(),
-            RunPolicy::Tolerant(w) => w.next_expiry(),
-        }
-    }
-}
-
 /// The long-lived serving core. See the module docs for the moving
 /// parts; the public surface is [`ServeEngine::observe`] (one request in,
 /// one [`ServeReply`] out), [`ServeEngine::tick`] (sweep timers without
@@ -380,6 +373,8 @@ impl<'s> ServeEngine<'s> {
     /// Answers one request: admit (or shed), sweep due timers, decide
     /// through the item's [`OnlineDecider`], re-arm the item's deadline,
     /// and surface any offline-queue recoveries as [`ReplayNote`]s.
+    ///
+    /// [`OnlineDecider`]: mcc_core::online::OnlineDecider
     pub fn observe(&mut self, item: u64, server: u32, t: f64) -> ServeReply {
         let t0 = Instant::now();
         if !t.is_finite() || t < 0.0 {
@@ -408,10 +403,7 @@ impl<'s> ServeEngine<'s> {
             }
             slot.gen += 1;
             let req = Request::new(ServerId(server), t);
-            let decision = match &mut slot.policy {
-                RunPolicy::Plain(p) => p.observe(req, &mut slot.rt),
-                RunPolicy::Tolerant(w) => w.observe(req, &mut slot.rt),
-            };
+            let decision = slot.policy.decider().observe(req, &mut slot.rt);
             slot.last_t = t;
             slot.requests += 1;
             match decision.action {
@@ -421,7 +413,7 @@ impl<'s> ServeEngine<'s> {
             }
             let live_now = slot.rt.live_copies();
             let prev = std::mem::replace(&mut slot.live, live_now);
-            let rearm = slot.next_expiry().map(|at| ExpiryNode {
+            let rearm = slot.policy.decider().next_expiry().map(|at| ExpiryNode {
                 at,
                 item,
                 gen: slot.gen,
@@ -477,8 +469,8 @@ impl<'s> ServeEngine<'s> {
 
     /// Closes `item`: drains its policy, finalizes its copy record
     /// exactly as batch replay would (shared [`finalize_record`] /
-    /// [`stats_from_record`] / fault-surcharge fold), and returns the
-    /// accounting. `None` for untracked items.
+    /// [`stats_from_record`] / [`settle`]), and returns the accounting.
+    /// `None` for untracked items.
     pub fn finish(&mut self, item: u64) -> Option<ItemReport> {
         let mut slot = self.items.remove(&item)?;
         // Heap nodes for this item die lazily (popped nodes miss the
@@ -489,37 +481,20 @@ impl<'s> ServeEngine<'s> {
         let requests = slot.requests;
         let (hits, deferred) = (slot.hits, slot.deferred);
         let cost = &self.cfg.cost;
-        let (online_cost, caching_cost, transfer_cost, transfers) = match &mut slot.policy {
-            RunPolicy::Plain(p) => {
-                p.on_finish();
-                let rec = finalize_record(p, &mut slot.rt, requests, horizon);
-                let stats = stats_from_record(rec, cost, hits, deferred);
-                (
-                    stats.total_cost,
-                    stats.caching_cost,
-                    stats.transfer_cost,
-                    stats.transfers,
-                )
-            }
-            RunPolicy::Tolerant(w) => {
-                w.on_finish();
-                let rec = finalize_record(w, &mut slot.rt, requests, horizon);
-                let stats = stats_from_record(rec, cost, hits, deferred);
-                // The exact fold batch replay applies (`seed_faulty_body`
-                // in mcc-simnet): brownout surcharge from the finished
-                // record geometry, then the wrapper surcharges, in this
-                // order — bit-identical totals.
-                let sur = brownout_surcharge(w.plan(), rec, cost);
-                w.stats_mut().brownout_cost = sur;
-                let f = w.stats();
-                (
-                    stats.total_cost + sur + f.retry_cost + f.replay_cost + f.reseed_cost,
-                    stats.caching_cost,
-                    stats.transfer_cost,
-                    stats.transfers,
-                )
-            }
-        };
+        slot.policy.decider().on_finish();
+        let rec = finalize_record(slot.policy.decider(), &mut slot.rt, requests, horizon);
+        let stats = stats_from_record(rec, cost, hits, deferred);
+        // The fold batch replay applies, so served and replayed totals
+        // agree to the bit.
+        let wrapper = slot.policy.tolerant().map(|w| &*w);
+        let online_cost = settle(
+            rec,
+            &stats,
+            cost,
+            wrapper.map(FaultTolerant::plan),
+            wrapper.map(FaultTolerant::stats),
+        )
+        .online_cost;
         self.stats.items_finished += 1;
         self.stats.finished_cost += online_cost;
         self.sink.add(Counter::ServeItemsFinished, 1);
@@ -527,11 +502,11 @@ impl<'s> ServeEngine<'s> {
             item,
             requests: requests as u64,
             cache_hits: hits as u64,
-            transfers: transfers as u64,
+            transfers: stats.transfers as u64,
             deferred: deferred as u64,
             online_cost,
-            caching_cost,
-            transfer_cost,
+            caching_cost: stats.caching_cost,
+            transfer_cost: stats.transfer_cost,
         })
     }
 
@@ -562,14 +537,8 @@ impl<'s> ServeEngine<'s> {
     /// Builds and registers a fresh slot for `item`: exactly the state
     /// batch replay sets up per run (policy reset + fresh runtime).
     fn admit(&mut self, item: u64) {
-        let mut policy = match &self.cfg.plan {
-            Some(plan) => RunPolicy::Tolerant(FaultTolerant::new((self.factory)(), plan.clone())),
-            None => RunPolicy::Plain((self.factory)()),
-        };
-        match &mut policy {
-            RunPolicy::Plain(p) => p.reset(self.cfg.servers, &self.cfg.cost),
-            RunPolicy::Tolerant(w) => w.reset(self.cfg.servers, &self.cfg.cost),
-        }
+        let mut policy = RunPolicy::new((self.factory)(), self.cfg.plan.clone());
+        policy.decider().reset(self.cfg.servers, &self.cfg.cost);
         let slot = ItemSlot {
             policy,
             rt: Runtime::new(self.cfg.servers),
@@ -608,13 +577,10 @@ impl<'s> ServeEngine<'s> {
                     continue; // refreshed since armed: stale node
                 }
                 slot.gen += 1;
-                match &mut slot.policy {
-                    RunPolicy::Plain(p) => p.expire(until, &mut slot.rt),
-                    RunPolicy::Tolerant(w) => w.expire(until, &mut slot.rt),
-                }
+                slot.policy.decider().expire(until, &mut slot.rt);
                 let live_now = slot.rt.live_copies();
                 let prev = std::mem::replace(&mut slot.live, live_now);
-                let rearm = slot.next_expiry().map(|at| ExpiryNode {
+                let rearm = slot.policy.decider().next_expiry().map(|at| ExpiryNode {
                     at,
                     item: node.item,
                     gen: slot.gen,

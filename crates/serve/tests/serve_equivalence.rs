@@ -9,12 +9,12 @@
 //! verbatim. The tests interleave many items on one global timeline,
 //! inject timer sweeps ([`ServeEngine::tick`]) at arbitrary times
 //! between requests (sweep timing must be unobservable), and repeat the
-//! whole comparison under an injected crash/recovery [`FaultPlan`] with
-//! the exact surcharge fold batch replay applies.
+//! whole comparison under an injected crash/recovery [`FaultPlan`],
+//! settled by the same [`settle`] batch replay applies.
 
 use mcc_core::online::{
-    brownout_surcharge, finalize_record, run_policy, run_policy_record, stats_from_record,
-    CrashWindow, FaultPlan, FaultTolerant, OnlineDecider, OnlinePolicy, Runtime, ServeAction,
+    finalize_record, run_policy, run_policy_record, settle, stats_from_record, CrashWindow,
+    FaultPlan, FaultTolerant, OnlineDecider, OnlinePolicy, Runtime, ServeAction,
     SpeculativeCaching,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
@@ -202,7 +202,7 @@ proptest! {
         let served = serve(&w, Some(&plan));
         for (k, (actions, report)) in served.iter().enumerate() {
             let inst = w.instance(k);
-            // The batch reference: the exact `seed_faulty_body` sequence.
+            // The batch reference: the run pipeline's wrapped measurement.
             let mut wrapped =
                 FaultTolerant::new(SpeculativeCaching::paper(), plan.clone());
             let mut rt = Runtime::new(inst.servers());
@@ -223,10 +223,8 @@ proptest! {
             wrapped.on_finish();
             let rec = finalize_record(&wrapped, &mut rt, inst.n(), inst.horizon());
             let stats = stats_from_record(rec, inst.cost(), hits, deferred);
-            let sur = brownout_surcharge(wrapped.plan(), rec, inst.cost());
-            wrapped.stats_mut().brownout_cost = sur;
-            let f = wrapped.stats();
-            let total = stats.total_cost + sur + f.retry_cost + f.replay_cost + f.reseed_cost;
+            let total = settle(rec, &stats, inst.cost(), Some(wrapped.plan()), Some(wrapped.stats()))
+                .online_cost;
 
             prop_assert_eq!(actions, &batch_actions, "item {} actions diverged", k);
             prop_assert_eq!(report.online_cost, total, "item {} folded cost", k);
@@ -283,10 +281,14 @@ fn crash_recovery_equivalence_pinned_case() {
     let mut wrapped = FaultTolerant::new(SpeculativeCaching::paper(), plan);
     let mut rt = Runtime::new(inst.servers());
     let (stats, rec) = run_policy_record(&mut wrapped, &inst, &mut rt);
-    let sur = brownout_surcharge(wrapped.plan(), rec, inst.cost());
-    wrapped.stats_mut().brownout_cost = sur;
-    let f = wrapped.stats();
-    let total = stats.total_cost + sur + f.retry_cost + f.replay_cost + f.reseed_cost;
+    let total = settle(
+        rec,
+        &stats,
+        inst.cost(),
+        Some(wrapped.plan()),
+        Some(wrapped.stats()),
+    )
+    .online_cost;
     assert_eq!(stats.deferred, 2);
     assert_eq!(report.online_cost, total);
     assert_eq!(report.deferred, 2);

@@ -37,8 +37,6 @@
 use mcc_core::online::{FaultPlan, OnlineRun};
 use mcc_model::{Instance, Schedule, ServerId, Violation};
 
-use crate::engine::SimOutcome;
-
 // --- shared fault-waiver helpers ------------------------------------------
 //
 // Both auditors (this replay and the streaming sweep in
@@ -292,17 +290,6 @@ impl ScheduleAuditor {
             &run.schedule,
             Some(run.total_cost),
             Some(run.record.transfers.len()),
-            plan,
-        )
-    }
-
-    /// Audits a simulation outcome.
-    pub fn audit_outcome(&self, outcome: &SimOutcome, plan: Option<&FaultPlan>) -> AuditReport {
-        self.audit(
-            &outcome.instance,
-            &outcome.record.to_schedule(),
-            Some(outcome.total_cost),
-            Some(outcome.record.transfers.len()),
             plan,
         )
     }

@@ -7,10 +7,9 @@
 //! performs.
 
 use mcc_core::online::tracker::{RunRecord, Runtime};
-use mcc_core::online::{FaultPlan, FaultStats, FaultTolerant, OnlinePolicy, ServeAction};
+use mcc_core::online::{finalize_record, OnlinePolicy, ServeAction};
 use mcc_model::{CostModel, Instance, Request, Scalar};
 
-use crate::audit::{AuditReport, ScheduleAuditor};
 use crate::error::SimError;
 use crate::event::EventQueue;
 
@@ -133,12 +132,9 @@ pub fn simulate<P: OnlinePolicy<f64> + ?Sized>(
     }
 
     let instance = Instance::new(config.servers, config.cost, accepted)?;
-    let horizon = instance.horizon();
-    let record = if instance.n() == 0 {
-        rt.finish(|_, last| last)
-    } else {
-        rt.finish(|server, last| policy.close_time(server, last, horizon))
-    };
+    policy.on_finish();
+    finalize_record(policy, &mut rt, instance.n(), instance.horizon());
+    let record = rt.into_record();
     let total_cost = record.to_schedule().cost(&config.cost);
     Ok(SimOutcome {
         instance,
@@ -149,72 +145,12 @@ pub fn simulate<P: OnlinePolicy<f64> + ?Sized>(
     })
 }
 
-/// A simulation outcome under fault injection, with its audit attached.
-#[derive(Clone, Debug)]
-pub struct FaultySimOutcome {
-    /// The underlying run (its `total_cost` is the schedule cost only).
-    pub outcome: SimOutcome,
-    /// The auditor's replay of the run against the fault plan.
-    pub audit: AuditReport,
-    /// Fault counters (`None` for fault-oblivious runs, which take no
-    /// corrective actions and therefore have nothing to count).
-    pub stats: Option<FaultStats>,
-}
-
-impl FaultySimOutcome {
-    /// Schedule cost plus the `λ` retry surcharge for failed transfer
-    /// attempts (the surcharge lives outside the schedule).
-    pub fn total_cost(&self) -> f64 {
-        let surcharge = self.stats.as_ref().map_or(0.0, |s| s.retry_cost);
-        self.outcome.total_cost + surcharge
-    }
-}
-
-/// Runs `policy` against `source` on a cluster degraded by `plan`.
-///
-/// With `tolerant` the policy is wrapped in [`FaultTolerant`] (crashes
-/// repaired, transfers failed over, retries charged); without it the
-/// policy runs oblivious to the faults and the audit replays the believed
-/// schedule against the plan, reporting every violation the faults induce.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_under_faults<P: OnlinePolicy<f64> + 'static>(
-    policy: P,
-    source: &mut dyn ArrivalProcess,
-    config: SimConfig,
-    plan: &FaultPlan,
-    tolerant: bool,
-) -> Result<FaultySimOutcome, SimError> {
-    let auditor = ScheduleAuditor::default();
-    if tolerant {
-        let mut wrapped = FaultTolerant::new(policy, FaultPlan::none());
-        wrapped.set_plan(plan);
-        let outcome = simulate(&mut wrapped, source, config)?;
-        let audit = auditor.audit_outcome(&outcome, Some(plan));
-        Ok(FaultySimOutcome {
-            audit,
-            stats: Some(wrapped.stats().clone()),
-            outcome,
-        })
-    } else {
-        let mut policy = policy;
-        let outcome = simulate(&mut policy, source, config)?;
-        let audit = auditor.audit_outcome(&outcome, Some(plan));
-        Ok(FaultySimOutcome {
-            audit,
-            stats: None,
-            outcome,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_core::online::run_policy;
     use mcc_core::online::SpeculativeCaching;
+    use mcc_core::online::{run_policy, run_policy_record, CrashWindow, FaultPlan, FaultTolerant};
+    use mcc_model::ServerId;
 
     fn demo_instance() -> Instance<f64> {
         Instance::from_compact("m=3 mu=1 lambda=1 | s2@0.4 s2@0.7 s3@1.0 s1@2.5 s3@2.8").unwrap()
@@ -296,5 +232,38 @@ mod tests {
         let sim = simulate(&mut SpeculativeCaching::paper(), &mut Empty, config).unwrap();
         assert_eq!(sim.instance.n(), 0);
         assert_eq!(sim.total_cost, 0.0);
+    }
+
+    #[test]
+    fn wrapped_policy_drains_its_queue_when_an_outage_covers_the_trace_end() {
+        // Every server is down from t = 2 past the end of the trace, so
+        // the last two requests are deferred with no recovery to replay
+        // them: only the end-of-run drain in `on_finish` can.
+        let inst = demo_instance();
+        let crashes = (0..3)
+            .map(|s| CrashWindow {
+                server: ServerId::from_index(s),
+                from: 2.0,
+                to: 10.0,
+            })
+            .collect();
+        let plan = FaultPlan::new(crashes, 0, 0.0, 0, 0.0);
+        let config = SimConfig {
+            servers: 3,
+            cost: *inst.cost(),
+            max_requests: usize::MAX,
+        };
+        let mut wrapped = FaultTolerant::new(SpeculativeCaching::paper(), plan.clone());
+        let sim = simulate(&mut wrapped, &mut Replay::new(&inst), config).unwrap();
+        let stats = wrapped.stats();
+        assert_eq!(stats.deferred, 2);
+        assert_eq!(stats.deferred, stats.replayed + stats.dropped);
+        // The engine finishes exactly like batch replay.
+        let mut replayed = FaultTolerant::new(SpeculativeCaching::paper(), plan);
+        let mut rt = Runtime::new(3);
+        let (_, rec) = run_policy_record(&mut replayed, &inst, &mut rt);
+        assert_eq!(replayed.stats(), wrapped.stats());
+        assert_eq!(sim.record.records, rec.records);
+        assert_eq!(sim.record.transfers, rec.transfers);
     }
 }

@@ -197,7 +197,7 @@ fn warm_request_units_allocate_nothing_even_with_a_live_sink() {
 
     // Batched path: `run_units` hands the whole seed chunk to the batched
     // solver — generation staged into per-slot buffers, one SoA solve,
-    // precomputed optima threaded to the seed cores. Warm, a full batched
+    // precomputed optima threaded to the measurement body. Warm, a full batched
     // sweep chunk must stay off the heap too, and agree with the scalar
     // unit pipeline seed for seed.
     EVENTS.store(0, Ordering::SeqCst);

@@ -9,8 +9,8 @@
 //! by check, streaming emits by time), so the comparison sorts.
 
 use mcc_core::online::{
-    brownout_surcharge, run_policy, run_policy_record, FaultPlan, FaultTolerant, Follow, RunRecord,
-    Runtime, SpeculativeCaching,
+    run_policy, run_policy_record, settle, FaultPlan, FaultTolerant, Follow, RunRecord, Runtime,
+    SpeculativeCaching,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
 use mcc_simnet::fault::FaultSpec;
@@ -138,8 +138,8 @@ proptest! {
         let mut wrapped = FaultTolerant::new(SpeculativeCaching::paper(), plan.clone());
         let mut rt = Runtime::new(inst.servers());
         let (stats, rec) = run_policy_record(&mut wrapped, &inst, &mut rt);
-        let sur = brownout_surcharge(&plan, rec, inst.cost());
-        assert_equivalent(&inst, rec, stats.total_cost + sur, Some(&plan))?;
+        let settled = settle(rec, &stats, inst.cost(), Some(&plan), Some(wrapped.stats()));
+        assert_equivalent(&inst, rec, settled.audited_cost, Some(&plan))?;
     }
 
     /// Follow produces a different record shape (single roaming copy,

@@ -10,11 +10,12 @@
 //!   marginal and running bounds) — i.e. staging is a layout change, not a
 //!   recomputation that could drift;
 //! * every lane's solved optimum equals the per-instance
-//!   [`solve_auto_in`] answer exactly, across workload families, shapes
+//!   [`solve_naive_in`] answer exactly, across workload families, shapes
 //!   and seeds, including a dirty (reused) workspace.
 
-use mcc_core::offline::{solve_auto_in, solve_batch_in, BatchWorkspace, SolverWorkspace};
+use mcc_core::offline::{solve_batch_in, solve_naive_in, BatchWorkspace, SolverWorkspace};
 use mcc_model::Prescan;
+use mcc_obs::noop;
 use mcc_workloads::{CommonParams, InstanceBuf, PoissonWorkload, Workload, ZipfWorkload};
 use proptest::prelude::*;
 
@@ -26,7 +27,7 @@ fn check_roundtrip(workload: &dyn Workload, seeds: &[u64]) -> Result<(), TestCas
     {
         let mut warm = InstanceBuf::new();
         let inst = workload.generate_into(u64::MAX, &mut warm);
-        solve_batch_in(&[inst, inst], &mut bws);
+        solve_batch_in(&[inst, inst], &mut bws, noop());
     }
 
     bws.clear();
@@ -34,7 +35,7 @@ fn check_roundtrip(workload: &dyn Workload, seeds: &[u64]) -> Result<(), TestCas
         let inst = workload.generate_into(seed, slot);
         bws.push(inst);
     }
-    bws.solve();
+    bws.solve(noop());
     prop_assert_eq!(bws.len(), seeds.len());
 
     let mut ws = SolverWorkspace::new();
@@ -78,8 +79,8 @@ fn check_roundtrip(workload: &dyn Workload, seeds: &[u64]) -> Result<(), TestCas
                 i
             );
         }
-        // And the solved lane equals the per-instance auto solve exactly.
-        let scalar = solve_auto_in(inst, &mut ws);
+        // And the solved lane equals the per-instance sweep solve exactly.
+        let scalar = solve_naive_in(inst, &mut ws, noop());
         prop_assert_eq!(
             bws.optimal_cost(k).to_bits(),
             scalar.optimal_cost().to_bits(),

@@ -14,8 +14,7 @@
 //!   fresh expansion.
 
 use mcc_core::online::{
-    brownout_surcharge, run_policy, run_policy_record, FaultPlan, FaultTolerant, Runtime,
-    SpeculativeCaching,
+    run_policy, run_policy_record, settle, FaultPlan, FaultTolerant, Runtime, SpeculativeCaching,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
 use mcc_obs::Registry;
@@ -100,11 +99,11 @@ fn run_wrapped_and_audit(
     let mut wrapped = FaultTolerant::new(SpeculativeCaching::paper(), plan.clone());
     let mut rt = Runtime::new(inst.servers());
     let (stats, rec) = run_policy_record(&mut wrapped, inst, &mut rt);
-    let sur = brownout_surcharge(plan, rec, inst.cost());
+    let audited = settle(rec, &stats, inst.cost(), Some(plan), Some(wrapped.stats())).audited_cost;
     let report = ScheduleAuditor::default().audit(
         inst,
         &rec.to_schedule(),
-        Some(stats.total_cost + sur),
+        Some(audited),
         Some(stats.transfers),
         Some(plan),
     );
