@@ -12,7 +12,7 @@
 //!
 //! Every comparison is like-for-like: both sides run with the per-item
 //! streaming audit on (`audited`) **and** with it off (`sim-only`, via
-//! [`FleetSpec::audit`] = false / `RunRequest::without_audit`), and the
+//! [`FleetSpec::audit`] = false / `RunRequest::with_audit(false)`), and the
 //! document carries both pairs. The headline `speedup` is the sim-only
 //! pair — the throughput regime the fleet layer targets.
 //!
@@ -43,8 +43,6 @@
 //!   the price of capacity enforcement);
 //! * `quick` — the fleet-vs-naive speedup at test scale, re-measured by
 //!   `bench_fleet --check` on every CI run with a 10% regression budget.
-
-use std::time::Instant;
 
 use mcc_fleet::{naive_item_loop, run_fleet, EvictionPolicy, FleetSpec, FleetWorkspace};
 use mcc_model::Json;
@@ -162,25 +160,9 @@ fn sc() -> PolicyFactory {
     factory(mcc_core::online::SpeculativeCaching::<f64>::paper())
 }
 
-/// Repeats `pass` until [`TARGET_SECS`] accumulate (at least 2 reps,
-/// after one warm-up) and returns the best observed items/sec. Same
-/// estimator as the sweep bench: interference only slows a rep down, so
-/// the fastest rep is the stable number on shared hardware.
-fn best_rate<F: FnMut()>(items: usize, mut pass: F) -> f64 {
-    pass(); // warm-up: faults in pages, grows every workspace buffer
-    let mut best = f64::INFINITY;
-    let mut reps = 0u32;
-    let t0 = Instant::now();
-    loop {
-        let rep = Instant::now();
-        pass();
-        best = best.min(rep.elapsed().as_secs_f64());
-        reps += 1;
-        if reps >= 2 && t0.elapsed().as_secs_f64() >= TARGET_SECS {
-            break;
-        }
-    }
-    items as f64 / best.max(1e-9)
+/// Best-rep items/sec of `pass` (at least 2 reps, [`TARGET_SECS`]).
+fn best_rate(items: usize, pass: impl FnMut()) -> f64 {
+    super::best_rate(items, 2, TARGET_SECS, pass)
 }
 
 /// Fleet items/sec for `spec`, run through one warm workspace.

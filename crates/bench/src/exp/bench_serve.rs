@@ -24,8 +24,6 @@
 //!
 //! Document schema: `bench-serve/1`.
 
-use std::time::Instant;
-
 use mcc_model::Json;
 use mcc_obs::{Hist, Registry};
 use mcc_serve::{ServeConfig, ServeEngine, ServeReply};
@@ -149,25 +147,13 @@ pub struct ServeRate {
 /// cache warmth of the bench loop, and more samples sharpen the tail.
 pub fn serve_rate(items: usize) -> ServeRate {
     let events = stream(items);
-    let decisions = events.len() as f64;
     let reg = Registry::new();
-    pass(&events, items, &reg); // warm-up
-    let mut best = f64::INFINITY;
-    let mut reps = 0u32;
-    let t0 = Instant::now();
-    loop {
-        let rep = Instant::now();
-        pass(&events, items, &reg);
-        best = best.min(rep.elapsed().as_secs_f64());
-        reps += 1;
-        if reps >= 2 && t0.elapsed().as_secs_f64() >= TARGET_SECS {
-            break;
-        }
-    }
+    let decisions_per_sec =
+        super::best_rate(events.len(), 2, TARGET_SECS, || pass(&events, items, &reg));
     let snap = reg.snapshot();
     let h = snap.hist(Hist::ServeDecisionNanos);
     ServeRate {
-        decisions_per_sec: decisions / best.max(1e-9),
+        decisions_per_sec,
         p50_us: h.quantile(0.50) / 1_000.0,
         p99_us: h.quantile(0.99) / 1_000.0,
         p999_us: h.quantile(0.999) / 1_000.0,

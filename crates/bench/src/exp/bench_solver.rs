@@ -81,27 +81,10 @@ impl GridPoint {
     }
 }
 
-/// Repeats `f` until [`TARGET_SECS`] of wall time accumulate (at least 3
-/// reps), returning the *fastest* rep in ns per request. The minimum, not
-/// the mean: a rep can only be slowed by interference (scheduler
-/// preemption, frequency drift, co-tenants), never sped up, so the minimum
-/// is the stable estimator of the code's own cost on shared hardware.
-fn ns_per_request<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    // Warm-up rep (faults in fresh pages, primes branch predictors).
-    f();
-    let mut best = f64::INFINITY;
-    let mut reps = 0u32;
-    let t0 = Instant::now();
-    loop {
-        let rep = Instant::now();
-        f();
-        best = best.min(rep.elapsed().as_secs_f64());
-        reps += 1;
-        if reps >= 3 && t0.elapsed().as_secs_f64() >= TARGET_SECS {
-            break;
-        }
-    }
-    best * 1e9 / n.max(1) as f64
+/// The fastest rep of `f` in ns per request (at least 3 reps,
+/// [`TARGET_SECS`]).
+fn ns_per_request(n: usize, f: impl FnMut()) -> f64 {
+    1e9 / super::best_rate(n.max(1), 3, TARGET_SECS, f)
 }
 
 fn instance_seeded(n: usize, m: usize, seed: u64) -> Instance<f64> {

@@ -27,8 +27,6 @@
 //! the 8-thread efficiency staying ≥ [`EFFICIENCY_TARGET`].
 //! Schema (`bench-sweep/2`) documented in EXPERIMENTS.md.
 
-use std::time::Instant;
-
 use mcc_core::offline::SolverWorkspace;
 use mcc_model::Json;
 use mcc_obs::Registry;
@@ -202,25 +200,9 @@ fn units(scale: Scale) -> usize {
     3 * scale.seeds as usize
 }
 
-/// Repeats `pass` until [`TARGET_SECS`] accumulate (at least 2 reps) and
-/// returns the best observed units/sec. The maximum rate (= minimum
-/// time): interference only slows a rep down, so the fastest rep is the
-/// stable estimator on shared hardware.
-fn best_rate<F: FnMut()>(units: usize, mut pass: F) -> f64 {
-    pass(); // warm-up: faults in pages, grows workspaces
-    let mut best = f64::INFINITY;
-    let mut reps = 0u32;
-    let t0 = Instant::now();
-    loop {
-        let rep = Instant::now();
-        pass();
-        best = best.min(rep.elapsed().as_secs_f64());
-        reps += 1;
-        if reps >= 2 && t0.elapsed().as_secs_f64() >= TARGET_SECS {
-            break;
-        }
-    }
-    units as f64 / best.max(1e-9)
+/// Best-rep units/sec of `pass` (at least 2 reps, [`TARGET_SECS`]).
+fn best_rate(units: usize, pass: impl FnMut()) -> f64 {
+    super::best_rate(units, 2, TARGET_SECS, pass)
 }
 
 /// One full single-threaded pass of the pinned pipeline.

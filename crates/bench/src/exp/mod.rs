@@ -26,6 +26,31 @@ pub mod ratio_sweep;
 pub mod scaling;
 pub mod tables;
 
+/// The benches' timing loop: runs `pass` once to warm up (faults in
+/// pages, grows every workspace buffer), then repeats it until
+/// `target_secs` of wall time accumulate and at least `min_reps` reps
+/// ran, and returns `work` units over the *fastest* rep, per second. The
+/// fastest rep, not the mean: interference (scheduler preemption,
+/// frequency drift, co-tenants) can only slow a rep down, never speed it
+/// up, so the minimum time is the stable estimator of the code's own
+/// cost on shared hardware.
+pub fn best_rate(work: usize, min_reps: u32, target_secs: f64, mut pass: impl FnMut()) -> f64 {
+    pass();
+    let mut best = f64::INFINITY;
+    let mut reps = 0u32;
+    let t0 = std::time::Instant::now();
+    loop {
+        let rep = std::time::Instant::now();
+        pass();
+        best = best.min(rep.elapsed().as_secs_f64());
+        reps += 1;
+        if reps >= min_reps && t0.elapsed().as_secs_f64() >= target_secs {
+            break;
+        }
+    }
+    work as f64 / best.max(1e-9)
+}
+
 /// Experiment sizing.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Scale {

@@ -1510,6 +1510,33 @@ mod tests {
     }
 
     #[test]
+    fn run_end_drains_the_queue_when_an_outage_covers_the_trace_end() {
+        // Every server is down from t = 2 past the end of the trace, so
+        // the last two requests are deferred with no recovery to replay
+        // them: only the end-of-run drain in `on_finish` can.
+        let inst =
+            Instance::<f64>::from_compact("m=3 mu=1 lambda=1 | s2@0.4 s2@0.7 s3@1.0 s1@2.5 s3@2.8")
+                .unwrap();
+        let windows = (0..3)
+            .map(|s| CrashWindow {
+                server: ServerId::from_index(s),
+                from: 2.0,
+                to: 10.0,
+            })
+            .collect();
+        let mut ft = FaultTolerant::new(
+            SpeculativeCaching::<f64>::paper(),
+            FaultPlan::new(windows, 0, 0.0, 0, 0.0),
+        );
+        let mut rt = Runtime::new(3);
+        let (stats, _rec) = run_policy_record(&mut ft, &inst, &mut rt);
+        let f = ft.stats();
+        assert_eq!(f.deferred, 2);
+        assert_eq!(stats.deferred, f.deferred);
+        assert_eq!(f.deferred, f.replayed + f.dropped);
+    }
+
+    #[test]
     fn queue_cap_drops_with_accounting() {
         // m=1: any crash is a total outage. Cap the queue at 1 so the
         // second deferred request is dropped — but still counted.

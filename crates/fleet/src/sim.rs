@@ -255,16 +255,12 @@ fn shard_body(
         mu: &*mu,
         lambda: &*lambda,
     };
-    // The regime is set both ways because the slot's workspace remembers
+    // The audit is set every run because the slot's workspace remembers
     // the last run's choice across reuse.
-    let req = RunRequest::from_workspace(RunMode::Plain, slot.ws.take().unwrap_or_default())
+    let mut req = RunRequest::from_workspace(RunMode::Plain, slot.ws.take().unwrap_or_default())
         .with_sink(sink)
-        .with_batch_units(FLEET_BATCH_UNITS);
-    let mut req = if spec.audit {
-        req.with_streaming_audit()
-    } else {
-        req.without_audit()
-    };
+        .with_batch_units(FLEET_BATCH_UNITS)
+        .with_audit(spec.audit);
     let mut local = None;
     let policy_slot = match cached {
         Some(c) => c,
@@ -460,8 +456,9 @@ pub fn naive_item_loop(
             },
             spec.rate,
         );
-        let req = RunRequest::new(RunMode::Plain).with_sink(sink);
-        let mut req = if spec.audit { req } else { req.without_audit() };
+        let mut req = RunRequest::new(RunMode::Plain)
+            .with_sink(sink)
+            .with_audit(spec.audit);
         let mut policy = req.policy(factory);
         let r = req.run_unit(&mut policy, &w, spec.trace_seed(item));
         sum.online_cost += r.online_cost;

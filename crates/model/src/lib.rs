@@ -19,7 +19,7 @@
 //! * [`SpaceTimeGraph`] — the analysis graph of Definition 2.
 //!
 //! Solvers live in `mcc-core`; workload generators in `mcc-workloads`; the
-//! discrete-event execution substrate in `mcc-simnet`.
+//! trace-driven run pipeline in `mcc-simnet`.
 
 #![forbid(unsafe_code)]
 // `!(a > b)` is used deliberately where NaN must be rejected alongside

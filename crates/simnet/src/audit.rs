@@ -1,18 +1,18 @@
-//! The always-on schedule auditor.
+//! The replay schedule auditor: the definition of the audit.
 //!
-//! Every run that goes through `run_cell`/`sweep` is replayed here after
-//! the fact — feasibility violations, unpaid transfers and cost-accounting
-//! drift become typed [`AuditFinding`]s instead of debug-build panics, so
-//! release sweeps surface defects instead of silently aggregating bogus
-//! costs.
+//! It replays a finished run's normalized schedule after the fact —
+//! feasibility violations, unpaid transfers and cost-accounting drift
+//! become typed [`AuditFinding`]s instead of debug-build panics. The run
+//! pipeline audits through its single-pass twin,
+//! [`crate::streaming::StreamingAuditor`]; this replay is the oracle the
+//! twin is property-tested against (`tests/audit_equivalence.rs`).
 //!
 //! The referee in `mcc-model` ([`mcc_model::validate_with`]) is quadratic
 //! in schedule size (`O(|H|·|T|)`), which is fine for tests but too slow
 //! to run after every seed of a full sweep. The auditor performs the same
 //! checks with per-server sorted interval indexes and binary-searched
-//! transfer lookups (`O((|H| + |T| + n)·log)`), which keeps always-on
-//! auditing unmeasurable next to the off-line DP each seed already pays
-//! for.
+//! transfer lookups (`O((|H| + |T| + n)·log)`), cheap enough for the
+//! property tests to replay every run they generate.
 //!
 //! When a [`FaultPlan`] is supplied the replay additionally applies
 //! *reality*: copies die at crash instants, intervals claimed on a down

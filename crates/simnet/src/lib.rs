@@ -1,18 +1,18 @@
-//! # mcc-simnet — discrete-event simulation substrate
+//! # mcc-simnet — the batch run pipeline
 //!
-//! The execution environment the online experiments run on: a
-//! deterministic event queue, a simulation engine that drives any
-//! [`mcc_core::online::OnlinePolicy`] from a live arrival process,
-//! post-hoc instrumentation (live-copy timelines, cost attribution), a
-//! deterministic parallel sweep runner for (policy × workload × seed)
-//! grids, seed-driven fault injection ([`fault`]), and an always-on
-//! schedule auditor ([`audit`]) that replays every run against the model
-//! invariants (and the fault plan, when there is one).
+//! The execution environment the online experiments run on: the
+//! [`RunRequest`] front door that replays a workload's seeds through any
+//! [`mcc_core::online::OnlineDecider`] and settles each run against the
+//! off-line optimum, post-hoc instrumentation (live-copy timelines, cost
+//! attribution), a deterministic parallel sweep runner for (policy ×
+//! workload × seed) grids, seed-driven fault injection ([`fault`]), the
+//! single-pass schedule auditor ([`streaming`]) every run passes through
+//! (with the materializing [`audit`] replay as its test oracle), and
+//! plan-and-repair execution of a committed off-line plan ([`planned`]).
 //!
 //! Simulation inputs are user-reachable (traces, CLI parameters), so this
-//! crate's non-test code must not panic on them: fallible paths return
-//! [`SimError`] and the unwrap/expect lints below are promoted to errors
-//! by CI's `-D warnings`.
+//! crate's non-test code must not panic on them; the unwrap/expect lints
+//! below are promoted to errors by CI's `-D warnings`.
 
 #![forbid(unsafe_code)]
 // `!(a > b)` is used deliberately where NaN must be rejected alongside
@@ -23,9 +23,6 @@
 
 pub mod audit;
 pub mod clock;
-pub mod engine;
-pub mod error;
-pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod parallel;
@@ -35,15 +32,10 @@ pub mod streaming;
 
 pub use audit::{AuditFinding, AuditReport, ScheduleAuditor};
 pub use clock::{SimClock, TimeSource, WallClock};
-pub use engine::{simulate, ArrivalProcess, Replay, SimConfig, SimOutcome};
-pub use error::SimError;
-pub use event::EventQueue;
 pub use fault::{FaultSpec, PlanScratch};
-pub use metrics::{Breakdown, CopyTimeline, FaultBreakdown};
+pub use metrics::{Breakdown, CopyTimeline};
 pub use parallel::{sweep, sweep_with, CellResult, GridCell};
-pub use planned::{
-    execute_plan, execute_plan_under_faults, plan_and_execute, FaultyPlannedOutcome, PlannedOutcome,
-};
+pub use planned::{execute_plan, plan_and_execute, PlannedOutcome};
 pub use runner::{
     factory, fold_fault_stats, FaultOutcome, PolicyFactory, RunMode, RunPolicy, RunRequest,
     RunWorkspace, SeedResult, UnitSource, BATCH_UNITS,

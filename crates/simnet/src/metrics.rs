@@ -1,7 +1,6 @@
 //! Post-hoc instrumentation derived from run records.
 
 use mcc_core::online::tracker::RunRecord;
-use mcc_core::online::FaultStats;
 use mcc_model::{CostModel, Scalar};
 
 /// Step function of simultaneously live copies over time.
@@ -95,90 +94,6 @@ impl Breakdown {
     }
 }
 
-/// Report-ready view of one run's fault counters.
-///
-/// Flattens [`FaultStats`] and attributes the corrective work in the same
-/// spirit as [`Breakdown`]: how many copies the faults destroyed, how much
-/// corrective action the wrapper took, and what the failed transfer
-/// attempts cost on top of the schedule (`λ` per failed attempt).
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct FaultBreakdown {
-    /// Live copies destroyed by crashes.
-    pub copies_lost: usize,
-    /// Failed transfer attempts before each success.
-    pub retries: usize,
-    /// Requests redirected to a surviving replica.
-    pub failovers: usize,
-    /// Emergency re-replications (including crash-time evacuations).
-    pub emergency_replications: usize,
-    /// Transfers absorbed by an already-live destination copy.
-    pub adopted_replicas: usize,
-    /// Serve-and-drop deliveries to servers that were down.
-    pub down_serves: usize,
-    /// Windows during which the cluster was down to its last copy.
-    pub copy_loss_windows: usize,
-    /// Requests deferred into the degraded-mode queue.
-    pub deferred: usize,
-    /// Deferred requests replayed at recovery (or run end).
-    pub replayed: usize,
-    /// Deferred requests dropped at the queue bound.
-    pub dropped: usize,
-    /// Peak degraded-mode queue depth.
-    pub queue_peak: usize,
-    /// Deferrals caused by an active partition rather than an outage.
-    pub partition_deferrals: usize,
-    /// Copies re-materialized from durable storage after total outages.
-    pub reseeds: usize,
-    /// Transfers forced through after the retry budget ran dry.
-    pub budget_exhausted: usize,
-    /// `λ` surcharge paid for the failed attempts.
-    pub retry_cost: f64,
-    /// `λ` surcharge paid replaying deferred requests.
-    pub replay_cost: f64,
-    /// `λ` surcharge paid re-seeding after total outages.
-    pub reseed_cost: f64,
-    /// Brownout `μ/λ` surcharge of the run.
-    pub brownout_cost: f64,
-    /// Backoff wait accrued (latency metric, not `λ/μ` cost).
-    pub backoff_wait: f64,
-    /// Total transfer latency injected by the fault plan.
-    pub total_delay: f64,
-}
-
-impl FaultBreakdown {
-    /// Flattens wrapper counters into the report view.
-    pub fn from_stats(stats: &FaultStats) -> Self {
-        FaultBreakdown {
-            copies_lost: stats.copies_lost,
-            retries: stats.retries,
-            failovers: stats.failovers,
-            emergency_replications: stats.emergency_replications,
-            adopted_replicas: stats.adopted_replicas,
-            down_serves: stats.down_serves,
-            copy_loss_windows: stats.copy_loss_windows,
-            deferred: stats.deferred,
-            replayed: stats.replayed,
-            dropped: stats.dropped,
-            queue_peak: stats.queue_peak,
-            partition_deferrals: stats.partition_deferrals,
-            reseeds: stats.reseeds,
-            budget_exhausted: stats.budget_exhausted,
-            retry_cost: stats.retry_cost,
-            replay_cost: stats.replay_cost,
-            reseed_cost: stats.reseed_cost,
-            brownout_cost: stats.brownout_cost,
-            backoff_wait: stats.backoff_wait,
-            total_delay: stats.total_delay,
-        }
-    }
-
-    /// Total corrective actions the wrapper took (failovers, emergency
-    /// re-replications and adopted transfers).
-    pub fn corrective_actions(&self) -> usize {
-        self.failovers + self.emergency_replications + self.adopted_replicas
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,37 +150,6 @@ mod tests {
         assert_eq!(b.transfers, 2.0);
         let sched_cost = rec.to_schedule().cost(&CostModel::unit());
         assert!((b.total() - sched_cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fault_breakdown_flattens_stats() {
-        let stats = FaultStats {
-            copies_lost: 3,
-            retries: 5,
-            failovers: 2,
-            emergency_replications: 1,
-            adopted_replicas: 4,
-            down_serves: 1,
-            copy_loss_windows: 2,
-            deferred: 7,
-            replayed: 5,
-            dropped: 2,
-            queue_peak: 4,
-            reseeds: 1,
-            retry_cost: 5.0,
-            replay_cost: 2.5,
-            total_delay: 0.25,
-            ..FaultStats::default()
-        };
-        let fb = FaultBreakdown::from_stats(&stats);
-        assert_eq!(fb.copies_lost, 3);
-        assert_eq!(fb.corrective_actions(), 2 + 1 + 4);
-        assert_eq!(fb.retry_cost, 5.0);
-        assert_eq!(fb.deferred, fb.replayed + fb.dropped);
-        assert_eq!(fb.queue_peak, 4);
-        assert_eq!(fb.reseeds, 1);
-        assert_eq!(fb.replay_cost, 2.5);
-        assert_eq!(FaultBreakdown::default().corrective_actions(), 0);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! costs.
 
 use mcc_core::offline::optimal_schedule;
-use mcc_core::online::FaultPlan;
 use mcc_model::{Instance, Scalar, Schedule, ServerId};
 
 /// Cost decomposition of a plan-and-repair execution.
@@ -52,10 +51,8 @@ impl PlannedOutcome {
 /// Executes `plan` (built for some predicted sequence) against the
 /// `actual` instance.
 ///
-/// # Panics
-///
-/// Panics if the plan has no initial copy anchoring coverage at `t = 0`
-/// (any schedule produced by the off-line solvers qualifies).
+/// Any schedule is accepted: one with no cache intervals at all anchors
+/// its holdover chain on the origin at `t = 0`.
 pub fn execute_plan<S: Scalar>(plan: &Schedule<S>, actual: &Instance<S>) -> PlannedOutcome {
     let cost = actual.cost();
     let planned_cost = plan.cost(cost).to_f64();
@@ -120,165 +117,6 @@ pub fn execute_plan<S: Scalar>(plan: &Schedule<S>, actual: &Instance<S>) -> Plan
     }
 }
 
-/// Cost decomposition of a plan executed on a crash-degraded cluster.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct FaultyPlannedOutcome {
-    /// Plan-and-repair decomposition over the *actualized* schedule (the
-    /// committed plan after crash truncation and dead-transfer removal).
-    pub base: PlannedOutcome,
-    /// Planned intervals cut short or stillborn because of crashes.
-    pub copies_lost: usize,
-    /// Planned transfers dropped (source down or already dead).
-    pub dropped_transfers: usize,
-    /// `λ` surcharge for failed repair-transfer attempts.
-    pub retry_cost: f64,
-}
-
-impl FaultyPlannedOutcome {
-    /// Total realized cost including the retry surcharge.
-    pub fn total(&self) -> f64 {
-        self.base.total() + self.retry_cost
-    }
-}
-
-/// Executes `plan` against `actual` on a cluster degraded by `faults`.
-///
-/// The committed plan is first *actualized* against the crash windows,
-/// with the same degradation semantics the auditor replays:
-///
-/// * an interval starting while its server is down is stillborn;
-/// * an interval spanning a crash start is truncated there (`μ` stops
-///   accruing when the copy is destroyed — a dead server's cache is not
-///   billed);
-/// * transfers are replayed in time order: one departing a server
-///   strictly inside an outage, or whose source interval no longer covers
-///   its departure, is dropped, and the interval it would have delivered
-///   dies with it (cascade).
-///
-/// Repairs then run exactly as in [`execute_plan`] against the actualized
-/// coverage, except each emergency transfer additionally pays the fault
-/// plan's deterministic failed-attempt surcharge (`λ` per failed
-/// attempt). The holdover chain is assumed re-homeable at no extra cost —
-/// it models "keep the item somewhere", not a specific server's disk.
-pub fn execute_plan_under_faults(
-    plan: &Schedule<f64>,
-    actual: &Instance<f64>,
-    faults: &FaultPlan,
-) -> FaultyPlannedOutcome {
-    let (actualized, copies_lost, dropped_transfers) = actualize(plan, faults);
-    let cost = actual.cost();
-    let lambda = cost.lambda;
-
-    // Repair pass mirrors `execute_plan`, with the retry surcharge added
-    // per emergency transfer. Reuse its decomposition for everything else
-    // so the two paths cannot drift.
-    let base = execute_plan(&actualized, actual);
-    let mut retry_cost = 0.0;
-    let mut budget_left = faults.retry_budget();
-    if base.repair_transfers > 0 {
-        let (holdover_server, mut coverage_end) = actualized
-            .caches
-            .iter()
-            .map(|h| (h.server, h.to))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap_or((ServerId::ORIGIN, 0.0));
-        for i in 1..=actual.n() {
-            let t = actual.t(i);
-            let s = actual.server(i);
-            let covered = actualized
-                .caches
-                .iter()
-                .any(|h| h.server == s && h.from <= t && t <= h.to)
-                || actualized
-                    .transfers
-                    .iter()
-                    .any(|tr| tr.dst == s && (tr.at - t).abs() <= 1e-9)
-                || (s == holdover_server && t <= coverage_end);
-            if covered {
-                continue;
-            }
-            let any_live =
-                actualized.caches.iter().any(|h| h.from <= t && t <= h.to) || t <= coverage_end;
-            if !any_live {
-                coverage_end = t; // mirrors execute_plan's holdover step
-            }
-            // Same deterministic draw the online wrapper uses; repairs are
-            // sourced from wherever the item lives, keyed on the origin,
-            // and share one per-run retry budget with the wrapper's rule.
-            let draw = faults.draw_failures(ServerId::ORIGIN, s, t, budget_left);
-            budget_left -= draw.failures;
-            retry_cost += lambda * f64::from(draw.failures);
-        }
-    }
-
-    FaultyPlannedOutcome {
-        base,
-        copies_lost,
-        dropped_transfers,
-        retry_cost,
-    }
-}
-
-/// Applies crash truncation and dead-transfer removal to a committed
-/// plan. Returns the surviving schedule plus loss counters.
-fn actualize(plan: &Schedule<f64>, faults: &FaultPlan) -> (Schedule<f64>, usize, usize) {
-    let mut caches = plan.caches.clone();
-    let mut copies_lost = 0usize;
-    for h in caches.iter_mut() {
-        if h.to > h.from && faults.is_down(h.server, h.from) {
-            h.to = h.from; // stillborn: created into an outage
-            copies_lost += 1;
-            continue;
-        }
-        let cut = faults
-            .crashes()
-            .iter()
-            .find(|w| w.server == h.server && w.from > h.from && w.from < h.to);
-        if let Some(w) = cut {
-            h.to = w.from;
-            copies_lost += 1;
-        }
-    }
-
-    let mut order: Vec<usize> = (0..plan.transfers.len()).collect();
-    order.sort_by(|&a, &b| plan.transfers[a].at.total_cmp(&plan.transfers[b].at));
-    let mut kept = Vec::with_capacity(plan.transfers.len());
-    let mut dropped = 0usize;
-    for idx in order {
-        let tr = plan.transfers[idx];
-        let src_down = faults
-            .crashes()
-            .iter()
-            .any(|w| w.server == tr.src && tr.at > w.from && tr.at < w.to);
-        let src_alive = caches.iter().any(|h| {
-            h.server == tr.src
-                && h.from <= tr.at
-                && tr.at <= h.to
-                && (h.from < tr.at || (tr.src == ServerId::ORIGIN && h.from == 0.0))
-        });
-        if src_down || !src_alive {
-            dropped += 1;
-            // The interval this transfer would have seeded dies with it.
-            if let Some(h) = caches
-                .iter_mut()
-                .find(|h| h.server == tr.dst && (h.from - tr.at).abs() <= 1e-9 && h.to > h.from)
-            {
-                h.to = h.from;
-                copies_lost += 1;
-            }
-        } else {
-            kept.push(tr);
-        }
-    }
-
-    let mut sched = Schedule {
-        caches,
-        transfers: kept,
-    };
-    sched.normalize();
-    (sched, copies_lost, dropped)
-}
-
 /// Convenience for experiments: plan optimally for `predicted`, execute
 /// against `actual`.
 pub fn plan_and_execute<S: Scalar>(
@@ -333,82 +171,6 @@ mod tests {
         assert!((out.holdover_cost - 3.0).abs() < 1e-9);
         assert!((out.total() - 5.0).abs() < 1e-9, "{out:?}");
         assert_eq!(out.covered, 1);
-    }
-
-    #[test]
-    fn trivial_fault_plan_leaves_execution_unchanged() {
-        let predicted = inst("m=3 mu=1 lambda=1 | s2@0.5 s3@0.8 s2@1.1");
-        let actual = inst("m=3 mu=1 lambda=1 | s2@0.5 s3@0.9 s2@1.1");
-        let (plan, _) = optimal_schedule(&predicted);
-        let plain = execute_plan(&plan, &actual);
-        let faulty = execute_plan_under_faults(&plan, &actual, &FaultPlan::none());
-        assert_eq!(faulty.base, plain);
-        assert_eq!(faulty.copies_lost, 0);
-        assert_eq!(faulty.dropped_transfers, 0);
-        assert_eq!(faulty.retry_cost, 0.0);
-        assert!((faulty.total() - plain.total()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn crash_truncates_planned_coverage_and_forces_repairs() {
-        use mcc_core::online::CrashWindow;
-        use mcc_model::ServerId;
-        // Plan: hold the origin copy over [0, 3] serving s^1 throughout.
-        let mut plan = Schedule::new();
-        plan.cache(ServerId::ORIGIN, 0.0, 3.0);
-        let actual = inst("m=2 mu=1 lambda=1 | s1@1.0 s1@2.5");
-        // Origin crashes at t = 2: the interval is cut there, so the
-        // request at 2.5 loses its planned coverage.
-        let faults = FaultPlan::new(
-            vec![CrashWindow {
-                server: ServerId::ORIGIN,
-                from: 2.0,
-                to: 2.2,
-            }],
-            1,
-            0.0,
-            0,
-            0.0,
-        );
-        let out = execute_plan_under_faults(&plan, &actual, &faults);
-        assert_eq!(out.copies_lost, 1);
-        // Actualized plan costs μ·2 instead of μ·3; the uncovered request
-        // pays a holdover extension (2 → 2.5) plus a repair transfer.
-        assert_eq!(out.base.repair_transfers, 1);
-        assert!((out.base.planned_cost - 2.0).abs() < 1e-9, "{out:?}");
-        assert!((out.base.holdover_cost - 0.5).abs() < 1e-9, "{out:?}");
-        assert!((out.total() - 3.5).abs() < 1e-9, "{out:?}");
-    }
-
-    #[test]
-    fn dead_transfer_cascades_to_its_delivered_interval() {
-        use mcc_core::online::CrashWindow;
-        use mcc_model::ServerId;
-        // Origin seeds s^2 (= ServerId(1)) at t = 1; the delivered copy
-        // runs [1, 2].
-        let mut plan = Schedule::new();
-        plan.cache(ServerId::ORIGIN, 0.0, 1.5);
-        plan.cache(ServerId(1), 1.0, 2.0);
-        plan.transfer(ServerId::ORIGIN, ServerId(1), 1.0);
-        let actual = inst("m=2 mu=1 lambda=1 | s2@1.5");
-        // Origin is down across the transfer instant → the transfer and
-        // the s^2 interval both die; origin's own interval is stillborn?
-        // No — it *starts* before the outage, so it is truncated at 0.8.
-        let faults = FaultPlan::new(
-            vec![CrashWindow {
-                server: ServerId::ORIGIN,
-                from: 0.8,
-                to: 1.2,
-            }],
-            1,
-            0.0,
-            0,
-            0.0,
-        );
-        let out = execute_plan_under_faults(&plan, &actual, &faults);
-        assert_eq!(out.dropped_transfers, 1);
-        assert_eq!(out.copies_lost, 2, "source truncated + delivery killed");
-        assert_eq!(out.base.repair_transfers, 1);
     }
 
     #[test]

@@ -6,22 +6,17 @@
 //! [`RunMode::Plain`] (healthy cluster), [`RunMode::Faulty`] (faults
 //! injected, policy wrapped in the fault-tolerant layer) or
 //! [`RunMode::Oblivious`] (faults injected, policy unaware; only the
-//! audit sees the plan). The pre-request entry points (`run_seed_in`,
-//! `run_unit_in`, `run_cell_in` and friends) are gone — every caller
-//! goes through a request.
+//! audit sees the plan).
 //!
-//! Every run is audited before its result is returned — feasibility
-//! checking is not an opt-in debug mode but part of the measurement
-//! itself, and the per-seed finding count rides along in [`SeedResult`].
-//! The audit happens in-stream ([`StreamingAuditor`], one chronological
-//! pass over the raw run record); [`RunRequest::with_exhaustive_audit`]
-//! switches a request to the materializing [`ScheduleAuditor`] replay,
-//! the slower arbiter the streaming pass is property-tested against.
-//! [`RunRequest::without_audit`] drops verification entirely — the
-//! throughput regime for fleet-scale sweeps of tiny instances, where the
-//! audit would otherwise be a third of the per-item wall time. The audit
-//! is pure observation, so only `audit_findings` (reported as `0`)
-//! changes; every cost, ratio and transfer count stays bit-identical.
+//! By default every run is audited before its result is returned —
+//! feasibility checking is part of the measurement itself, and the
+//! per-seed finding count rides along in [`SeedResult`]. The audit is
+//! one chronological pass over the raw run record ([`StreamingAuditor`]).
+//! [`RunRequest::with_audit`]`(false)` drops it — the throughput regime
+//! for fleet-scale sweeps of tiny instances, where the audit would
+//! otherwise be a third of the per-item wall time. The audit is pure
+//! observation, so only `audit_findings` (reported as `0`) changes;
+//! every cost, ratio and transfer count stays bit-identical.
 //! Fault-injected modes expand a [`FaultSpec`] into a per-seed
 //! [`FaultPlan`] and (for [`RunMode::Faulty`]) wrap the policy in the
 //! fault-tolerant layer.
@@ -46,7 +41,6 @@ use mcc_model::Instance;
 use mcc_obs::{Counter, Hist, Sink, Span};
 use mcc_workloads::{InstanceBuf, Workload};
 
-use crate::audit::ScheduleAuditor;
 use crate::fault::{FaultSpec, PlanScratch};
 use crate::metrics::Breakdown;
 use crate::streaming::{AuditScratch, StreamingAuditor};
@@ -107,45 +101,32 @@ pub struct RunWorkspace {
     batch_units: usize,
 }
 
-/// Which auditor (if any) verifies each seed's run record.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum AuditRegime {
-    /// The single-pass [`StreamingAuditor`] — the default; zero heap
-    /// allocations once its scratch is warm.
-    Streaming,
-    /// The materializing [`ScheduleAuditor`] replay (debug arbiter;
-    /// slower, allocates per seed).
-    Exhaustive,
-    /// No auditor at all: `audit_findings` is reported as `0`. The audit
-    /// is pure observation, so simulation results are unaffected.
-    Off,
-}
-
 /// The per-seed half of [`RunWorkspace`]: solver tables, runtime record
 /// buffers, audit scratch and fault-plan buffers.
 struct SeedScratch {
     solver: SolverWorkspace<f64>,
     rt: Runtime<f64>,
-    audit: AuditScratch,
+    audit_scratch: AuditScratch,
     plan_scratch: PlanScratch,
     /// Plan storage for oblivious fault cells (tolerant cells expand
     /// straight into the wrapper's own plan buffer).
     fault_plan: FaultPlan,
-    regime: AuditRegime,
+    /// Whether the [`StreamingAuditor`] verifies each seed's run record.
+    audit: bool,
 }
 
 impl RunWorkspace {
-    /// A fresh workspace using the streaming auditor.
+    /// A fresh workspace with the audit on.
     pub fn new() -> Self {
         RunWorkspace {
             gen: InstanceBuf::new(),
             run: SeedScratch {
                 solver: SolverWorkspace::new(),
                 rt: Runtime::new(1),
-                audit: AuditScratch::default(),
+                audit_scratch: AuditScratch::default(),
                 plan_scratch: PlanScratch::default(),
                 fault_plan: FaultPlan::none(),
-                regime: AuditRegime::Streaming,
+                audit: true,
             },
             batch_gen: Vec::new(),
             batch: BatchWorkspace::new(),
@@ -298,31 +279,17 @@ impl<'s> RunRequest<'s> {
         }
     }
 
-    /// Audits with the exhaustive [`ScheduleAuditor`] replay instead of
-    /// the streaming pass (debug arbiter; slower, allocates per seed).
+    /// Turns the per-seed streaming audit on (the default) or off. Off,
+    /// no auditor runs and every [`SeedResult::audit_findings`] comes
+    /// back `0`. The audit is pure observation, so all costs, ratios and
+    /// transfer counts are bit-identical either way — off is the
+    /// throughput regime for fleet-scale sweeps of tiny instances, where
+    /// verification would otherwise be a third of the per-item time. The
+    /// setting lives in the workspace, so it survives
+    /// [`RunRequest::into_workspace`].
     #[must_use]
-    pub fn with_exhaustive_audit(mut self) -> Self {
-        self.ws.run.regime = AuditRegime::Exhaustive;
-        self
-    }
-
-    /// Disables the per-seed audit entirely: no auditor runs and every
-    /// [`SeedResult::audit_findings`] comes back `0`. The audit is pure
-    /// observation, so all costs, ratios and transfer counts are
-    /// bit-identical to an audited request — this is the throughput
-    /// regime for fleet-scale sweeps of tiny instances, where
-    /// verification would otherwise be a third of the per-item time.
-    #[must_use]
-    pub fn without_audit(mut self) -> Self {
-        self.ws.run.regime = AuditRegime::Off;
-        self
-    }
-
-    /// Restores the default single-pass streaming audit (e.g. on a
-    /// workspace handed over from an unaudited or exhaustive request).
-    #[must_use]
-    pub fn with_streaming_audit(mut self) -> Self {
-        self.ws.run.regime = AuditRegime::Streaming;
+    pub fn with_audit(mut self, on: bool) -> Self {
+        self.ws.run.audit = on;
         self
     }
 
@@ -597,41 +564,6 @@ pub fn fold_fault_stats(results: &[SeedResult]) -> FaultStats {
     total
 }
 
-/// Audit dispatch: the streaming single pass, the exhaustive replay, or
-/// nothing at all (reported as a clean run).
-fn audit_findings(
-    inst: &Instance<f64>,
-    rec: &RunRecord<f64>,
-    reported_cost: f64,
-    transfers: usize,
-    plan: Option<&FaultPlan>,
-    scratch: &mut AuditScratch,
-    regime: AuditRegime,
-) -> usize {
-    match regime {
-        AuditRegime::Off => 0,
-        AuditRegime::Exhaustive => ScheduleAuditor::default()
-            .audit(
-                inst,
-                &rec.to_schedule(),
-                Some(reported_cost),
-                Some(transfers),
-                plan,
-            )
-            .len(),
-        AuditRegime::Streaming => StreamingAuditor::default()
-            .audit_record_in(
-                inst,
-                rec,
-                Some(reported_cost),
-                Some(transfers),
-                plan,
-                scratch,
-            )
-            .len(),
-    }
-}
-
 /// Folds one finished seed into the sink: run/request/transfer counts,
 /// the λ/μ cost split, audit findings, the ratio histogram and (when
 /// present) the fault outcome. Pure observation — called after the
@@ -805,15 +737,20 @@ fn measure(
         plan,
         wrapper.map(FaultTolerant::stats),
     );
-    let findings = audit_findings(
-        inst,
-        rec,
-        settled.audited_cost,
-        stats.transfers,
-        plan,
-        &mut ws.audit,
-        ws.regime,
-    );
+    let findings = if ws.audit {
+        StreamingAuditor::default()
+            .audit_record_in(
+                inst,
+                rec,
+                Some(settled.audited_cost),
+                Some(stats.transfers),
+                plan,
+                &mut ws.audit_scratch,
+            )
+            .len()
+    } else {
+        0
+    };
     let fault = plan.map(|p| FaultOutcome {
         stats: FaultStats {
             brownout_cost: settled.brownout_cost,
@@ -999,34 +936,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.online_cost, y.online_cost);
             assert_eq!(x.opt_cost, y.opt_cost);
-        }
-    }
-
-    #[test]
-    fn exhaustive_replay_mode_matches_the_streaming_pipeline() {
-        let w = PoissonWorkload::uniform(CommonParams::small().with_size(4, 60), 1.0);
-        let f = factory(SpeculativeCaching::paper());
-        let spec = FaultSpec {
-            seed: 7,
-            crash_rate: 0.4,
-            mean_downtime: 2.0,
-            tolerant: false,
-            ..FaultSpec::default()
-        };
-        let mode = RunMode::from_faults(Some(spec));
-        assert!(matches!(mode, RunMode::Oblivious(_)));
-        let a = RunRequest::new(mode).run_cell(&f, &w, 0..6);
-        let b = RunRequest::new(mode)
-            .with_exhaustive_audit()
-            .run_cell(&f, &w, 0..6);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.online_cost, y.online_cost);
-            assert_eq!(x.opt_cost, y.opt_cost);
-            assert_eq!(
-                x.audit_findings, y.audit_findings,
-                "seed {}: streaming and replay audits disagree",
-                x.seed
-            );
         }
     }
 
